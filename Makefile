@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify build vet fmt test test-fast bench bench-allocs bench-json bench-serving bench-serving-fleet fleet load-smoke race-tree golden fuzz-smoke serve join-scenarios staticcheck mctsvet lint govulncheck
+.PHONY: verify build vet fmt test test-fast bench bench-allocs bench-json bench-serving bench-serving-fleet fleet load-smoke race-tree golden fuzz-smoke serve join-scenarios staticcheck mctsvet lint govulncheck perfbench-check
 
 # verify is the tier-1 gate: build, formatting, static analysis (go vet +
 # the custom mctsvet suite), and the full test suite. Everything in verify
@@ -119,6 +119,12 @@ join-scenarios:
 	$(GO) test -count=1 -run 'Join|MultiTable|Union|Subquery|Structural' \
 		./internal/sqlparser ./internal/engine ./internal/rules ./internal/cost ./internal/workload ./internal/core
 	$(GO) run ./cmd/searchbench -out /tmp/bench-join.json -workload sdss-join -tree-workers 0 -min-speedup 0
+
+# perfbench-check mirrors the CI perfbench job: vet and test the benchmark
+# module, which is its own Go module, so the targets above never compile it.
+perfbench-check:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
 
 # mctsvet runs the standard `go vet` passes plus the repo's custom
 # determinism/concurrency analyzers (detmap, wallclock, slicealias,

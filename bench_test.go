@@ -1,9 +1,11 @@
 package mctsui
 
-// One benchmark per experiment in DESIGN.md's index. Benchmarks report the
-// achieved interface cost via b.ReportMetric (metric "cost") next to the
-// usual time/allocation numbers, so `go test -bench` regenerates both the
-// performance and the quality numbers recorded in EXPERIMENTS.md.
+// One benchmark per experiment in the index of internal/experiments (the ids
+// experiments.Named resolves, e.g. fig6a or ablation-rollout). Benchmarks
+// report the achieved interface cost via b.ReportMetric (metric "cost")
+// next to the usual time/allocation numbers, so `go test -bench` yields both
+// the performance and the quality numbers that `go run ./cmd/experiments`
+// reports.
 
 import (
 	"context"
@@ -202,7 +204,7 @@ func BenchmarkSearchStrategies(b *testing.B) {
 	model := cost.Default(layout.Wide)
 	obj := func(rng *rand.Rand) search.Objective {
 		return func(d *difftree.Node) float64 {
-			return core.StateCost(d, log, model, 3, rng)
+			return eval.SampledCost(d, log, model, 3, rng)
 		}
 	}
 	b.Run("random", func(b *testing.B) {
@@ -442,7 +444,7 @@ func BenchmarkStateCost(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.StateCost(init, log, model, 5, rng)
+		eval.SampledCost(init, log, model, 5, rng)
 	}
 }
 

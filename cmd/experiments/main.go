@@ -1,6 +1,6 @@
-// Command experiments regenerates the paper's figures and claims (see the
-// experiment index in DESIGN.md) and prints plain-text reports, which
-// EXPERIMENTS.md records next to the paper's expectations.
+// Command experiments regenerates the paper's figures and claims and prints
+// plain-text reports, one per experiment id (the index experiments.Named
+// resolves, listed below).
 //
 // Usage:
 //
@@ -25,7 +25,7 @@ import (
 )
 
 func main() {
-	run := flag.String("run", "all", "experiment id (see DESIGN.md) or comma-separated list")
+	run := flag.String("run", "all", "experiment id (fig6a..fig6e, space, budget, baseline, strategies, ablation-c, ablation-rollout, scaling, all) or comma-separated list")
 	iters := flag.Int("iters", 40, "search iterations per generated interface")
 	rollout := flag.Int("rollout", 12, "rollout depth during search")
 	seed := flag.Int64("seed", 1, "base seed")

@@ -43,9 +43,9 @@ type Options struct {
 	// TimeBudget bounds wall-clock search time (the paper runs ~1 minute).
 	TimeBudget time.Duration
 	// RolloutDepth bounds random walks. The paper allows up to 200 steps;
-	// the default here is 16, which the rollout-depth ablation (EXPERIMENTS
-	// A2) shows already saturates quality on the paper's logs at a fraction
-	// of the cost. Set 200 to mirror the paper exactly.
+	// the default here is 16, which the rollout-depth ablation (experiment
+	// id ablation-rollout) shows already saturates quality on the paper's
+	// logs at a fraction of the cost. Set 200 to mirror the paper exactly.
 	RolloutDepth int
 	// RewardSamples is k, the number of random widget assignments scored per
 	// state during search (default 5).
@@ -297,12 +297,6 @@ func BestInterface(d *difftree.Node, log []*ast.Node, model cost.Model, enumLimi
 	return bestUI, bestBD, complete
 }
 
-// StateCost is the paper's reward primitive: the best cost among k random
-// widget assignments (plus the cost-greedy first assignment) for a difftree.
-func StateCost(d *difftree.Node, log []*ast.Node, model cost.Model, k int, rng *rand.Rand) float64 {
-	return eval.SampledCost(d, log, model, k, rng)
-}
-
 // newEngine builds the evaluation engine for one generate call: the
 // memoized (or, with DisableMemo, recomputing) source of state costs,
 // legality verdicts, and move sets that every strategy shares. Costs are
@@ -337,75 +331,26 @@ type state struct {
 func (s state) Hash() uint64 { return s.h }
 
 // domain adapts the difftree space to mcts.Domain + mcts.Sampler, backed by
-// the shared evaluation engine. Beyond the engine's transposition cache it
-// keeps one run-local layer: the reward memo, which dedupes the onCost
-// bookkeeping. Neighbor *states* are deliberately not memoized: the engine
-// caches the move sets (the expensive part), and rebuilding the successor
-// trees on demand is cheap — a previous per-run neighbor-state memo retained
-// tens of thousands of materialized trees, and the GC mark cost of that
-// pointer-dense heap was a large share of the cold-cache slowdown.
-//
-// With concurrent set (tree-parallel MCTS), the run-local map is guarded
-// by mu; the engine underneath is already concurrency-safe. The sequential
-// path never touches the lock.
+// the shared evaluation engine for moves and by the problem's run-local cost
+// memo for rewards. Neighbor *states* are deliberately not memoized: the
+// engine caches the move sets (the expensive part), and rebuilding the
+// successor trees on demand is cheap — a previous per-run neighbor-state
+// memo retained tens of thousands of materialized trees, and the GC mark
+// cost of that pointer-dense heap was a large share of the cold-cache
+// slowdown.
 type domain struct {
-	eng        *eval.Engine
-	ruleSet    []rules.Rule
-	scale      float64 // reward normalization: the initial state's cost
-	concurrent bool    // guard the run-local memo for tree-parallel workers
-	mu         sync.RWMutex
-	rewards    map[uint64]float64 // run-local reward memo (nil when memoization is off)
-	onCost     func(float64)      // observes each newly computed state cost
+	eng     *eval.Engine
+	ruleSet []rules.Rule
+	p       *problem // cost memo and bookkeeping; nil when nothing is scored
+	scale   float64  // reward normalization: the initial state's cost
 }
 
-// cachedReward reads the run-local reward memo.
-func (d *domain) cachedReward(h uint64) (float64, bool) {
-	if d.rewards == nil {
-		return 0, false
-	}
-	if d.concurrent {
-		d.mu.RLock()
-		defer d.mu.RUnlock()
-	}
-	r, ok := d.rewards[h]
-	return r, ok
-}
-
-// storeReward writes the run-local reward memo and reports whether this
-// call was the state's first (it always is with the memo disabled — every
-// visit then recomputes and counts). Concurrent tree workers can race past
-// cachedReward and both compute the same state; the insert-under-lock
-// verdict decides which one gets to report the evaluation, keeping the
-// onCost bookkeeping at one call per unique state.
-func (d *domain) storeReward(h uint64, r float64) bool {
-	if d.rewards == nil {
-		return true
-	}
-	if d.concurrent {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-	}
-	if _, ok := d.rewards[h]; ok {
-		return false
-	}
-	d.rewards[h] = r
-	return true
-}
-
-func newDomain(log []*ast.Node, opt Options, eng *eval.Engine) *domain {
-	d := &domain{eng: eng, ruleSet: opt.Rules}
-	if eng.Enabled() {
-		d.rewards = make(map[uint64]float64)
-	}
-	init, err := difftree.Initial(log)
-	if err == nil {
-		c := eng.StateCost(init)
-		if !math.IsInf(c, 1) && c > 0 {
-			d.scale = c
-		}
-	}
-	if d.scale <= 0 {
-		d.scale = 10
+// newDomain builds the MCTS domain over p. The reward scale is read from the
+// engine directly, so it is not counted as a search evaluation.
+func newDomain(p *problem) *domain {
+	d := &domain{eng: p.eng, ruleSet: p.opt.Rules, p: p, scale: 10}
+	if c := p.eng.StateCost(p.init); !math.IsInf(c, 1) && c > 0 {
+		d.scale = c
 	}
 	return d
 }
@@ -498,23 +443,15 @@ func (d *domain) RandomNeighbor(s mcts.State, rng *rand.Rand) (mcts.State, bool)
 }
 
 // Reward implements mcts.Domain: 1/(1 + cost/scale), so the initial state
-// scores 0.5 and better interfaces approach 1. Costs come from the engine
-// (deterministic per state); the run-local memo only dedupes the onCost
-// bookkeeping and skips the cache round trip for hot states.
+// scores 0.5 and better interfaces approach 1. Costs come from the
+// problem's run-local memo over the engine (deterministic per state).
 func (d *domain) Reward(s mcts.State) float64 {
 	st := s.(state)
-	if r, ok := d.cachedReward(st.h); ok {
-		return r
+	c := d.p.stateCost(st.d, st.h, false)
+	if math.IsInf(c, 1) {
+		return 0
 	}
-	c := d.eng.StateCost(st.d)
-	r := 0.0
-	if !math.IsInf(c, 1) {
-		r = 1.0 / (1.0 + c/d.scale)
-	}
-	if d.storeReward(st.h, r) && d.onCost != nil {
-		d.onCost(c)
-	}
-	return r
+	return 1.0 / (1.0 + c/d.scale)
 }
 
 // Fanout counts the legal moves of a difftree (the paper reports fanouts up
@@ -536,11 +473,7 @@ func RandomWalk(log []*ast.Node, steps int, seed int64) (*difftree.Node, error) 
 		Rules:   rules.All(),
 		SizeCap: 4*init.Size() + 64,
 	}, eval.NewCache(0))
-	d := &domain{
-		eng:     eng,
-		ruleSet: rules.All(),
-		rewards: map[uint64]float64{},
-	}
+	d := &domain{eng: eng, ruleSet: rules.All()}
 	rng := rand.New(rand.NewSource(seed))
 	cur := state{d: init, h: difftree.Hash(init)}
 	for i := 0; i < steps; i++ {

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/cost"
 	"repro/internal/difftree"
+	"repro/internal/eval"
 	"repro/internal/layout"
 	"repro/internal/rules"
 	"repro/internal/workload"
@@ -140,16 +141,16 @@ func TestStateCost(t *testing.T) {
 	init, _ := difftree.Initial(log)
 	model := cost.Default(layout.Wide)
 	rng := rand.New(rand.NewSource(1))
-	c := StateCost(init, log, model, 3, rng)
+	c := eval.SampledCost(init, log, model, 3, rng)
 	if math.IsInf(c, 1) || c <= 0 {
 		t.Errorf("initial state cost = %f", c)
 	}
 	// More samples never increase the best-of-k cost in expectation; at
 	// minimum the function stays finite and deterministic under one rng.
 	rng2 := rand.New(rand.NewSource(1))
-	c2 := StateCost(init, log, model, 3, rng2)
+	c2 := eval.SampledCost(init, log, model, 3, rng2)
 	if c != c2 {
-		t.Error("StateCost not deterministic under fixed rng")
+		t.Error("SampledCost not deterministic under fixed rng")
 	}
 }
 
@@ -243,7 +244,7 @@ func TestRewardMonotoneInCost(t *testing.T) {
 	model := cost.Default(layout.Wide)
 	opt := Options{}.withDefaults()
 	init, _ := difftree.Initial(log)
-	d := newDomain(log, opt, newEngine(log, init, model, opt))
+	d := newDomain(newProblem(log, init, model, opt, newEngine(log, init, model, opt), 0))
 	s := state{d: init, h: difftree.Hash(init)}
 	r1 := d.Reward(s)
 	if r1 <= 0 || r1 > 1 {

@@ -16,8 +16,8 @@ const (
 	// wall clock resolves to roughly this many iterations on its logs).
 	DefaultIterations = 60
 	// DefaultRolloutDepth bounds random walks. The paper allows up to 200
-	// steps; 16 already saturates quality on the paper's logs (EXPERIMENTS
-	// A2) at a fraction of the cost.
+	// steps; 16 already saturates quality on the paper's logs (experiment
+	// id ablation-rollout) at a fraction of the cost.
 	DefaultRolloutDepth = 16
 	// DefaultRewardSamples is k, the random widget assignments scored per
 	// state during search.

@@ -109,16 +109,14 @@ func TestCachedUncachedEquivalence(t *testing.T) {
 	}
 }
 
-// TestReRootedDeltaEvalEquivalence extends the equivalence gate over the two
-// incremental-search features: delta cost evaluation (enabled whenever a
-// cache is present — the engine then shares widget M/U terms across states)
-// and MCTS tree re-rooting (Options.SearchTree). A warm-started, re-rooted
-// regeneration with memoization on must be bit-identical — best cost and
-// best difftree — to the same regeneration with memoization off, whose
-// engine recomputes everything from scratch. A reused tree is mutated by the
-// search that consumes it, so each follow-up gets its own tree, produced by
+// TestReRootedCachedEquivalence extends the equivalence gate over MCTS tree
+// re-rooting (Options.SearchTree). A warm-started, re-rooted regeneration
+// with memoization on must be bit-identical — best cost and best difftree —
+// to the same regeneration with memoization off, whose engine recomputes
+// everything from scratch. A reused tree is mutated by the search that
+// consumes it, so each follow-up gets its own tree, produced by
 // deterministic (and themselves equivalent) previous runs.
-func TestReRootedDeltaEvalEquivalence(t *testing.T) {
+func TestReRootedCachedEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("search test")
 	}
@@ -159,14 +157,14 @@ func TestReRootedDeltaEvalEquivalence(t *testing.T) {
 			cached.Stats.ReRooted, uncached.Stats.ReRooted)
 	}
 	if got, want := cached.Cost.Total(), uncached.Cost.Total(); got != want {
-		t.Errorf("delta-evaluated re-rooted cost %v != full-recompute cost %v", got, want)
+		t.Errorf("cached re-rooted cost %v != full-recompute cost %v", got, want)
 	}
 	if difftree.Hash(cached.DiffTree) != difftree.Hash(uncached.DiffTree) {
 		t.Errorf("re-rooted best difftree diverged:\n got %s\nwant %s",
 			cached.DiffTree, uncached.DiffTree)
 	}
 	// Note: Stats.Evals is not compared — the memoized run counts unique
-	// cost evaluations (the run-local reward memo dedupes the counter),
+	// cost evaluations (the run-local cost memo dedupes the counter),
 	// the uncached reference counts every Reward call.
 }
 

@@ -66,8 +66,9 @@ type TrajectoryPoint struct {
 const progressStride = 25
 
 // problem carries everything a Strategy needs: the parsed log, the initial
-// state, the cost model, resolved options, and the progress/trajectory
-// plumbing. One problem serves exactly one strategy run on one goroutine.
+// state, the cost model, resolved options, the run's cost memo, and the
+// progress/trajectory plumbing. One problem serves exactly one strategy run;
+// only tree-parallel MCTS reaches it from more than one goroutine.
 type problem struct {
 	log    []*ast.Node
 	init   *difftree.Node
@@ -78,6 +79,13 @@ type problem struct {
 	worker int
 	start  time.Time
 
+	// costs is the run-local cost memo, keyed by state hash; nil under
+	// DisableMemo, so every visit re-scores and counts. With concurrent set
+	// (TreeWorkers > 1), mu guards it and every field below.
+	costs      map[uint64]float64
+	concurrent bool
+	mu         sync.Mutex
+
 	iterations int
 	states     int
 	evals      int
@@ -86,22 +94,73 @@ type problem struct {
 }
 
 func newProblem(log []*ast.Node, init *difftree.Node, model cost.Model, opt Options, eng *eval.Engine, worker int) *problem {
-	return &problem{
+	p := &problem{
 		log: log, init: init, root: init, model: model, opt: opt, eng: eng, worker: worker,
 		//mctsvet:allow wallclock -- start anchors Elapsed observability in Stats/Progress; it never influences the search result
 		start:    time.Now(),
 		bestCost: math.Inf(1),
 	}
+	if eng.Enabled() {
+		p.costs = make(map[uint64]float64)
+	}
+	return p
+}
+
+func (p *problem) lock() {
+	if p.concurrent {
+		p.mu.Lock()
+	}
+}
+
+func (p *problem) unlock() {
+	if p.concurrent {
+		p.mu.Unlock()
+	}
+}
+
+// stateCost returns the cost of state d (structural hash h), memoized for
+// the run. Each state's first evaluation is counted through noteCost
+// exactly once — every visit is, under DisableMemo — with step passed on.
+// Concurrent tree workers can both miss on one state and compute it (the
+// engine returns the same value to both); the first to insert counts it.
+func (p *problem) stateCost(d *difftree.Node, h uint64, step bool) float64 {
+	p.lock()
+	c, ok := p.costs[h]
+	p.unlock()
+	if ok {
+		return c
+	}
+	c = p.eng.StateCost(d)
+	p.lock()
+	defer p.unlock()
+	if _, ok := p.costs[h]; ok {
+		return c
+	}
+	if p.costs != nil {
+		p.costs[h] = c
+	}
+	p.noteCost(c, step)
+	return c
 }
 
 // noteCost records one cost evaluation; improvements extend the trajectory
-// and emit a progress snapshot immediately.
-func (p *problem) noteCost(c float64) {
+// and emit a progress snapshot immediately. step marks the evaluation as
+// one step of a comparator searcher: those count iterations and states per
+// evaluation and emit a heartbeat every progressStride evaluations, where
+// MCTS takes both counters from its own progress.
+func (p *problem) noteCost(c float64, step bool) {
 	p.evals++
+	if step {
+		p.states++
+		p.iterations = p.evals
+	}
 	if c < p.bestCost {
 		p.bestCost = c
 		//mctsvet:allow wallclock -- trajectory Elapsed is observability; cost and move choices never read it
 		p.traj = append(p.traj, TrajectoryPoint{Evals: p.evals, Elapsed: time.Since(p.start), Cost: c})
+		p.emit()
+	}
+	if step && p.evals%progressStride == 0 {
 		p.emit()
 	}
 }
@@ -123,34 +182,11 @@ func (p *problem) emit() {
 	})
 }
 
-// objective adapts the evaluation engine into a counted search.Objective
-// wired into the progress plumbing; shared by every non-MCTS strategy. The
-// run-local memo dedupes the counter bookkeeping (and, with memoization
-// off, disappears so every visit re-scores — the reference baseline).
+// objective adapts the run's cost memo into the search.Objective every
+// non-MCTS strategy shares.
 func (p *problem) objective() search.Objective {
-	var memo map[uint64]float64
-	if p.eng.Enabled() {
-		memo = make(map[uint64]float64)
-	}
 	return func(d *difftree.Node) float64 {
-		var h uint64
-		if memo != nil {
-			h = difftree.Hash(d)
-			if c, ok := memo[h]; ok {
-				return c
-			}
-		}
-		c := p.eng.StateCost(d)
-		if memo != nil {
-			memo[h] = c
-		}
-		p.states++
-		p.iterations = p.evals + 1 // noteCost emits; keep Iterations == Evals
-		p.noteCost(c)
-		if p.evals%progressStride == 0 {
-			p.emit()
-		}
-		return c
+		return p.stateCost(d, difftree.Hash(d), true)
 	}
 }
 
@@ -216,36 +252,17 @@ func StrategyMCTS() Strategy { return mctsStrategy{} }
 func (mctsStrategy) Name() string { return "mcts" }
 
 func (mctsStrategy) search(ctx context.Context, p *problem) searchOutcome {
-	dom := newDomain(p.log, p.opt, p.eng)
-	dom.onCost = p.noteCost
+	tw := max(p.opt.TreeWorkers, 1)
+	// Tree-parallel workers reach the problem's memo and progress plumbing
+	// concurrently; the evaluation engine underneath is already safe.
+	p.concurrent = tw > 1
+	dom := newDomain(p)
 	progress := func(r mcts.Result) {
+		p.lock()
+		defer p.unlock()
 		p.iterations = r.Iterations
 		p.states = r.Expanded
 		p.emit()
-	}
-	tw := p.opt.TreeWorkers
-	if tw < 1 {
-		tw = 1
-	}
-	if tw > 1 {
-		// Tree-parallel workers call the domain — and through it the
-		// problem's trajectory bookkeeping — concurrently: switch the domain
-		// memos into their guarded mode and serialize every touch of the
-		// problem's mutable state behind one mutex. (The evaluation engine
-		// underneath is already concurrency-safe.)
-		dom.concurrent = true
-		var mu sync.Mutex
-		dom.onCost = func(c float64) {
-			mu.Lock()
-			defer mu.Unlock()
-			p.noteCost(c)
-		}
-		inner := progress
-		progress = func(r mcts.Result) {
-			mu.Lock()
-			defer mu.Unlock()
-			inner(r)
-		}
 	}
 	var reuse *mcts.Tree
 	if tw == 1 {

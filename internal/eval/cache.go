@@ -1,13 +1,19 @@
 // Package eval implements the memoized evaluation engine behind every
 // search strategy: a concurrency-safe transposition cache keyed by the
 // difftree's structural hash, and an Engine that computes — and memoizes —
-// the three expensive per-state quantities of the search:
+// the expensive per-state quantities of the search:
 //
 //   - StateCost, the paper's reward primitive C(W,Q) sampled over k widget
 //     assignments,
 //   - LegalState, the system invariant (size prune + every query stays
-//     expressible), and
-//   - Moves, the legal move set.
+//     expressible),
+//   - Moves, the legal move set, and
+//   - PathPools, the per-kind node paths rollouts sample candidates from.
+//
+// The cache is the one memo that outlives a search: a state's cost is
+// memoized here across searches, its per-widget cost terms only inside the
+// cost.Evaluator that scores it, and core keeps the one run-local memo of a
+// single search.
 //
 // Scoring a state is deterministic per state: the reward-sampling RNG is
 // seeded from the state's hash mixed with the engine's base seed, so a
@@ -222,7 +228,7 @@ type CachedState struct {
 // Probe returns key's full memo record in one shard lookup, marking the
 // CLOCK reference bit. It does not touch the hit/miss counters; callers
 // account per aspect with Count. The engine's hot path derives the mixed key
-// once and probes once, instead of re-keying around per-aspect getters.
+// once and probes once per lookup.
 func (c *Cache) Probe(key uint64) (CachedState, bool) {
 	s := c.shard(key)
 	s.mu.Lock()
@@ -240,17 +246,12 @@ func (c *Cache) Probe(key uint64) (CachedState, bool) {
 }
 
 // Count records one aspect lookup outcome; pairs with Probe.
-func (c *Cache) Count(hit bool) { c.count(hit) }
-
-// Cost returns the memoized state cost.
-func (c *Cache) Cost(key uint64) (float64, bool) {
-	e, ok := c.Probe(key)
-	ok = ok && e.HasCost
-	c.count(ok)
-	if !ok {
-		return 0, false
+func (c *Cache) Count(hit bool) {
+	if hit {
+		c.hits.Add(1)
+	} else {
+		c.misses.Add(1)
 	}
-	return e.Cost, true
 }
 
 // SetCost records a state cost. Like every setter, the first write wins:
@@ -264,15 +265,6 @@ func (c *Cache) SetCost(key uint64, v float64) {
 		e.cost, e.hasCost = v, true
 	}
 	s.mu.Unlock()
-}
-
-// Legal returns the memoized legality verdict.
-func (c *Cache) Legal(key uint64) (legal, ok bool) {
-	e, found := c.Probe(key)
-	ok = found && e.HasLegal
-	legal = ok && e.Legal
-	c.count(ok)
-	return legal, ok
 }
 
 // SetLegal records a legality verdict (first write wins, see SetCost).
@@ -303,18 +295,6 @@ func (c *Cache) importEntry(key uint64, cost float64, hasCost bool, legal uint8)
 	s.mu.Unlock()
 }
 
-// Moves returns the memoized legal move set. The returned slice is shared:
-// callers must not modify it.
-func (c *Cache) Moves(key uint64) ([]rules.Move, bool) {
-	e, found := c.Probe(key)
-	ok := found && e.HasMoves
-	c.count(ok)
-	if !ok {
-		return nil, false
-	}
-	return e.Moves, true
-}
-
 // SetMoves records a legal move set. The cache takes ownership of ms.
 func (c *Cache) SetMoves(key uint64, ms []rules.Move) {
 	s, e := c.lockFor(key)
@@ -322,18 +302,6 @@ func (c *Cache) SetMoves(key uint64, ms []rules.Move) {
 		e.moves, e.hasMoves = ms, true
 	}
 	s.mu.Unlock()
-}
-
-// Pools returns the memoized per-kind node path pools. The returned slices
-// are shared: callers must not modify them.
-func (c *Cache) Pools(key uint64) ([4][]difftree.Path, bool) {
-	e, found := c.Probe(key)
-	ok := found && e.HasPools
-	c.count(ok)
-	if !ok {
-		return [4][]difftree.Path{}, false
-	}
-	return e.Pools, true
 }
 
 // SetPools records per-kind node path pools. The cache takes ownership.
@@ -363,14 +331,6 @@ func (c *Cache) Reset() {
 	c.hits.Store(0)
 	c.misses.Store(0)
 	c.evictions.Store(0)
-}
-
-func (c *Cache) count(hit bool) {
-	if hit {
-		c.hits.Add(1)
-	} else {
-		c.misses.Add(1)
-	}
 }
 
 // Stats reports cumulative cache effectiveness.

@@ -38,34 +38,55 @@ func figure1Engine(t *testing.T, cache *Cache) *Engine {
 	}, cache)
 }
 
+// cachedCost reads key's cost aspect through Probe, without counting.
+func cachedCost(c *Cache, key uint64) (float64, bool) {
+	v, ok := c.Probe(key)
+	return v.Cost, ok && v.HasCost
+}
+
 func TestCacheBasics(t *testing.T) {
 	c := NewCache(0)
-	if _, ok := c.Cost(42); ok {
+	if _, ok := c.Probe(42); ok {
 		t.Fatal("empty cache hit")
 	}
 	c.SetCost(42, 3.5)
-	if v, ok := c.Cost(42); !ok || v != 3.5 {
+	if v, ok := cachedCost(c, 42); !ok || v != 3.5 {
 		t.Fatalf("Cost = %v, %v", v, ok)
 	}
 	c.SetLegal(42, true)
 	c.SetLegal(43, false)
-	if v, ok := c.Legal(42); !ok || !v {
+	if v, ok := c.Probe(42); !ok || !v.HasLegal || !v.Legal {
 		t.Fatal("legal verdict lost")
 	}
-	if v, ok := c.Legal(43); !ok || v {
+	if v, ok := c.Probe(43); !ok || !v.HasLegal || v.Legal {
 		t.Fatal("illegal verdict lost")
+	}
+	if v, _ := c.Probe(43); v.HasCost || v.HasMoves || v.HasPools {
+		t.Fatalf("unset aspects reported present: %+v", v)
 	}
 	ms := []rules.Move{{Rule: "Unwrap", Path: difftree.Path{0}}}
 	c.SetMoves(42, ms)
-	got, ok := c.Moves(42)
-	if !ok || len(got) != 1 || got[0].Rule != "Unwrap" {
-		t.Fatalf("Moves = %v, %v", got, ok)
+	got, ok := c.Probe(42)
+	if !ok || !got.HasMoves || len(got.Moves) != 1 || got.Moves[0].Rule != "Unwrap" {
+		t.Fatalf("Moves = %v, %v", got.Moves, ok)
 	}
+	pools := [4][]difftree.Path{difftree.All: {{0}, {0, 1}}}
+	c.SetPools(42, pools)
+	if got, ok := c.Probe(42); !ok || !got.HasPools || len(got.Pools[difftree.All]) != 2 {
+		t.Fatalf("Pools = %v, %v", got.Pools, ok)
+	}
+	// Probe never touches the hit/miss counters; Count records outcomes.
+	if st := c.Stats(); st.Hits != 0 || st.Misses != 0 || st.Entries != 2 {
+		t.Fatalf("stats after uncounted probes = %+v", st)
+	}
+	c.Count(true)
+	c.Count(false)
+	c.Count(true)
 	st := c.Stats()
-	if st.Hits == 0 || st.Misses == 0 || st.Entries != 2 {
-		t.Fatalf("stats = %+v", st)
+	if st.Hits != 2 || st.Misses != 1 {
+		t.Fatalf("stats = %+v, want 2 hits and 1 miss", st)
 	}
-	if r := st.HitRate(); r <= 0 || r >= 1 {
+	if r := st.HitRate(); r != 2.0/3.0 {
 		t.Fatalf("hit rate = %f", r)
 	}
 }
@@ -77,17 +98,17 @@ func TestCacheCapEvicts(t *testing.T) {
 	// Fill shard 0 (keys that are multiples of shardCount land in shard 0).
 	c.SetCost(0*shardCount, 1)
 	c.SetCost(1*shardCount, 2) // same shard, over cap: evicts key 0
-	if _, ok := c.Cost(1 * shardCount); !ok {
+	if _, ok := cachedCost(c, 1*shardCount); !ok {
 		t.Fatal("over-cap insert was refused instead of evicting")
 	}
-	if _, ok := c.Cost(0 * shardCount); ok {
+	if _, ok := c.Probe(0 * shardCount); ok {
 		t.Fatal("CLOCK victim survived a full-shard insert")
 	}
 	if st := c.Stats(); st.Evictions != 1 {
 		t.Fatalf("evictions = %d, want 1", st.Evictions)
 	}
 	c.SetLegal(1*shardCount, true) // update of resident entry lands in place
-	if v, ok := c.Legal(1 * shardCount); !ok || !v {
+	if v, ok := c.Probe(1 * shardCount); !ok || !v.HasLegal || !v.Legal || !v.HasCost {
 		t.Fatal("update to resident entry lost")
 	}
 	if st := c.Stats(); st.Entries != 1 {
@@ -96,8 +117,8 @@ func TestCacheCapEvicts(t *testing.T) {
 }
 
 // TestCacheRace hammers one shared cache from 8 workers with overlapping
-// keys and all three entry aspects; run under `go test -race` (CI does) it
-// doubles as the data-race exercise for the shard locking.
+// keys, three entry aspects, and counted probes; run under `go test -race`
+// (CI does) it doubles as the data-race exercise for the shard locking.
 func TestCacheRace(t *testing.T) {
 	c := NewCache(1 << 12)
 	const workers = 8
@@ -112,7 +133,9 @@ func TestCacheRace(t *testing.T) {
 				case 0:
 					c.SetCost(key, float64(key))
 				case 1:
-					if v, ok := c.Cost(key); ok && v != float64(key) {
+					v, ok := cachedCost(c, key)
+					c.Count(ok)
+					if ok && v != float64(key) {
 						t.Errorf("worker %d: cost %v for key %d", w, v, key)
 					}
 				case 2:
@@ -120,16 +143,19 @@ func TestCacheRace(t *testing.T) {
 				case 3:
 					c.SetMoves(key, []rules.Move{{Rule: "Unwrap"}})
 				case 4:
-					if ms, ok := c.Moves(key); ok && len(ms) != 1 {
-						t.Errorf("worker %d: moves %v for key %d", w, ms, key)
+					v, ok := c.Probe(key)
+					ok = ok && v.HasMoves
+					c.Count(ok)
+					if ok && len(v.Moves) != 1 {
+						t.Errorf("worker %d: moves %v for key %d", w, v.Moves, key)
 					}
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	if st := c.Stats(); st.Hits+st.Misses == 0 {
-		t.Error("no traffic recorded")
+	if st := c.Stats(); st.Hits+st.Misses != workers*2*2000/5 {
+		t.Errorf("counted %d lookups, want %d", st.Hits+st.Misses, workers*2*2000/5)
 	}
 }
 
@@ -231,16 +257,17 @@ func TestCacheReset(t *testing.T) {
 	c := NewCache(0)
 	c.SetCost(1, 2.5)
 	c.SetLegal(2, true)
-	c.Cost(1)
+	c.Count(true)
+	c.Count(false)
 	c.Reset()
 	if st := c.Stats(); st.Entries != 0 || st.Hits != 0 || st.Misses != 0 {
 		t.Fatalf("Reset left state behind: %+v", st)
 	}
-	if _, ok := c.Cost(1); ok {
+	if _, ok := c.Probe(1); ok {
 		t.Fatal("entry survived Reset")
 	}
 	c.SetCost(1, 2.5)
-	if v, ok := c.Cost(1); !ok || v != 2.5 {
+	if v, ok := cachedCost(c, 1); !ok || v != 2.5 {
 		t.Fatal("cache unusable after Reset")
 	}
 }

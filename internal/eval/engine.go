@@ -31,24 +31,19 @@ type Config struct {
 // Engine evaluates difftree states for one Config, memoizing through an
 // optional shared Cache. A nil cache disables memoization entirely — every
 // call recomputes — which is the reference baseline the bench harness
-// compares against. The Engine itself is stateless beyond the cache and
-// the delta-evaluation term memo, and safe for concurrent use.
+// compares against. Cached and uncached engines compute a value through the
+// same code; the cache only decides whether it is computed at all. The
+// Engine itself is stateless beyond the cache, and safe for concurrent use.
 type Engine struct {
 	cfg   Config
 	cache *Cache
 	fp    uint64 // configuration fingerprint, mixed into every cache key
-
-	// terms is the cross-state widget term memo behind delta cost
-	// evaluation; nil when memoization is off, so the uncached engine stays
-	// the pure recompute-everything reference.
-	terms *cost.TermMemo
 }
 
 // New builds an engine over cfg, memoizing into cache (nil = uncached).
 func New(cfg Config, cache *Cache) *Engine {
 	e := &Engine{cfg: cfg, cache: cache, fp: fingerprint(cfg)}
 	if cache != nil {
-		e.terms = cost.NewTermMemo()
 		cache.noteFingerprint(e.fp)
 	}
 	return e
@@ -120,9 +115,7 @@ func (e *Engine) SizeCap() int { return e.cfg.SizeCap }
 // function of (config, state): the sampling RNG is seeded from the state's
 // structural hash mixed with the base seed, never from a shared stream — so
 // every worker, cached or not, computes bit-identical values, and a cache
-// hit is indistinguishable from a recompute. With memoization on, widget
-// cost terms additionally flow through the cross-state delta memo — also
-// bit-identical by construction (see cost.TermMemo).
+// hit is indistinguishable from a recompute.
 func (e *Engine) StateCost(d *difftree.Node) float64 {
 	h := difftree.Hash(d)
 	var k uint64
@@ -135,7 +128,7 @@ func (e *Engine) StateCost(d *difftree.Node) float64 {
 		e.cache.Count(false)
 	}
 	rng := rand.New(rand.NewSource(int64(mix64(h ^ uint64(e.cfg.Seed)))))
-	c := sampledCost(d, e.cfg.Log, e.cfg.Model, e.cfg.Samples, rng, e.terms)
+	c := SampledCost(d, e.cfg.Log, e.cfg.Model, e.cfg.Samples, rng)
 	if e.cache != nil {
 		e.cache.SetCost(k, c)
 	}
@@ -146,20 +139,11 @@ func (e *Engine) StateCost(d *difftree.Node) float64 {
 // k random widget assignments drawn from rng; +Inf when no widget tree
 // expresses the log on the screen.
 func SampledCost(d *difftree.Node, log []*ast.Node, model cost.Model, k int, rng *rand.Rand) float64 {
-	return sampledCost(d, log, model, k, rng, nil)
-}
-
-func sampledCost(d *difftree.Node, log []*ast.Node, model cost.Model, k int, rng *rand.Rand, memo *cost.TermMemo) float64 {
 	plan, err := assign.BuildPlan(d)
 	if err != nil {
 		return math.Inf(1)
 	}
-	var ev *cost.Evaluator
-	if memo != nil {
-		ev = model.NewEvaluatorShared(d, log, memo)
-	} else {
-		ev = model.NewEvaluator(d, log)
-	}
+	ev := model.NewEvaluator(d, log)
 	if !d.HasChoice() {
 		return ev.Evaluate(nil).Total()
 	}

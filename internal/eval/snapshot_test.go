@@ -68,7 +68,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("imported %d entries", n)
 	}
 	for key, want := range costs {
-		got, ok := dst.Cost(key)
+		got, ok := cachedCost(dst, key)
 		if !ok {
 			t.Fatalf("key %#x missing after import", key)
 		}
@@ -108,7 +108,7 @@ func TestSnapshotImportIdempotentAndFirstWriteWins(t *testing.T) {
 	if entries2 := dst.Stats().Entries; entries2 != entries1 {
 		t.Fatalf("re-import changed occupancy: %d -> %d", entries1, entries2)
 	}
-	if got, _ := dst.Cost(anyKey); got != 12345.5 {
+	if got, _ := cachedCost(dst, anyKey); got != 12345.5 {
 		t.Fatalf("import clobbered a pre-existing entry: got %v, want sentinel 12345.5", got)
 	}
 }
@@ -117,13 +117,13 @@ func TestSetCostFirstWriteWins(t *testing.T) {
 	c := NewCache(0)
 	c.SetCost(7, 1.5)
 	c.SetCost(7, 99)
-	if v, ok := c.Cost(7); !ok || v != 1.5 {
+	if v, ok := cachedCost(c, 7); !ok || v != 1.5 {
 		t.Fatalf("SetCost overwrote: got %v, want 1.5", v)
 	}
 	c.SetLegal(7, true)
 	c.SetLegal(7, false)
-	if legal, ok := c.Legal(7); !ok || !legal {
-		t.Fatalf("SetLegal overwrote: got legal=%v, want true", legal)
+	if v, ok := c.Probe(7); !ok || !v.HasLegal || !v.Legal {
+		t.Fatalf("SetLegal overwrote: got legal=%v, want true", v.Legal)
 	}
 }
 
@@ -236,11 +236,13 @@ func TestSnapshotSkipsNonPortableAspects(t *testing.T) {
 	if _, err := dst.LoadSnapshot(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := dst.Cost(3); !ok || v != 7 {
+	if v, ok := cachedCost(dst, 3); !ok || v != 7 {
 		t.Fatalf("cost entry lost: %v %v", v, ok)
 	}
-	if _, ok := dst.Moves(1); ok {
-		t.Fatal("moves travelled across the snapshot")
+	for _, key := range []uint64{1, 2} {
+		if _, ok := dst.Probe(key); ok {
+			t.Fatalf("moves/pools-only entry %d travelled across the snapshot", key)
+		}
 	}
 }
 
@@ -255,7 +257,7 @@ func TestSnapshotPreservesSpecialFloats(t *testing.T) {
 	if _, err := dst.LoadSnapshot(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := dst.Cost(1); !ok || !math.IsInf(v, 1) {
+	if v, ok := cachedCost(dst, 1); !ok || !math.IsInf(v, 1) {
 		t.Fatalf("+Inf did not round-trip: %v %v", v, ok)
 	}
 }
@@ -278,7 +280,7 @@ func TestSnapshotFileAtomicRoundTrip(t *testing.T) {
 		t.Fatalf("LoadSnapshotFile: %v", err)
 	}
 	for key, want := range costs {
-		if got, ok := dst.Cost(key); !ok || got != want {
+		if got, ok := cachedCost(dst, key); !ok || got != want {
 			t.Fatalf("key %#x: %v (ok=%v), want %v", key, got, ok, want)
 		}
 	}

@@ -1,7 +1,6 @@
 // Package experiments regenerates every figure and claim of the paper's
-// evaluation (see DESIGN.md's experiment index). Each experiment returns a
-// plain-text report; cmd/experiments prints them and EXPERIMENTS.md records
-// the outputs next to the paper's expectations.
+// evaluation. Each experiment has an id in the index Named resolves and
+// returns a plain-text report; cmd/experiments prints them.
 package experiments
 
 import (
@@ -32,7 +31,7 @@ type Config struct {
 	Seed         int64 // base seed
 }
 
-// Default returns the settings used for EXPERIMENTS.md.
+// Default returns the settings cmd/experiments runs with.
 func Default() Config { return Config{Iterations: 40, RolloutDepth: 12, Seed: 1} }
 
 func (c Config) opts(screen layout.Screen) core.Options {
@@ -402,7 +401,7 @@ func Scaling(ctx context.Context, cfg Config) string {
 	return b.String()
 }
 
-// All runs every experiment in DESIGN.md order.
+// All runs every experiment in index order.
 func All(ctx context.Context, cfg Config) string {
 	sections := []func(context.Context, Config) string{
 		Fig6a, Fig6b, Fig6c, Fig6d, Fig6e,
@@ -417,7 +416,8 @@ func All(ctx context.Context, cfg Config) string {
 	return b.String()
 }
 
-// Named returns the experiment runner for a DESIGN.md experiment id.
+// Named returns the experiment runner for an experiment id: the index of
+// this package, and the ids cmd/experiments accepts.
 func Named(name string) (func(context.Context, Config) string, bool) {
 	m := map[string]func(context.Context, Config) string{
 		"fig6a":            Fig6a,

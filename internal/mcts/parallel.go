@@ -183,7 +183,7 @@ func (s *psearcher) worker(root *pnode, rng *rand.Rand) {
 		if s.stopped() {
 			return
 		}
-		if s.cfg.Iterations > 0 && s.claimed.Add(1) > int64(s.cfg.Iterations) {
+		if !s.claim() {
 			return
 		}
 		worked, cut := s.iterate(root, rng)
@@ -209,6 +209,26 @@ func (s *psearcher) worker(root *pnode, rng *rand.Rand) {
 			// expansion racing a selection), so this cannot spin: a settled
 			// tree always lands on an unexpanded or terminal node.
 			s.claimed.Add(-1)
+		}
+	}
+}
+
+// claim takes one iteration from the shared budget (always granted when
+// the search is unbounded). The counter never passes Iterations, so a
+// worker returns only once every slot is held, and a slot refunded after a
+// contention no-op is re-claimed by the refunding worker itself: the search
+// completes exactly Iterations iterations.
+func (s *psearcher) claim() bool {
+	if s.cfg.Iterations <= 0 {
+		return true
+	}
+	for {
+		n := s.claimed.Load()
+		if n >= int64(s.cfg.Iterations) {
+			return false
+		}
+		if s.claimed.CompareAndSwap(n, n+1) {
+			return true
 		}
 	}
 }

@@ -7,9 +7,9 @@ import (
 	"testing"
 
 	"repro/internal/ast"
-	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/difftree"
+	"repro/internal/eval"
 	"repro/internal/layout"
 	"repro/internal/rules"
 	"repro/internal/search"
@@ -31,7 +31,7 @@ func TestGreedyImproves(t *testing.T) {
 	model := cost.Default(layout.Wide)
 	rng := rand.New(rand.NewSource(1))
 	obj := func(d *difftree.Node) float64 {
-		return core.StateCost(d, log, model, 3, rng)
+		return eval.SampledCost(d, log, model, 3, rng)
 	}
 	res := search.Greedy(context.Background(), init, spaceFor(init, log), obj, 30)
 	if res.BestCost > obj(init) {
@@ -51,7 +51,7 @@ func TestRandomFindsSomething(t *testing.T) {
 	model := cost.Default(layout.Wide)
 	rng := rand.New(rand.NewSource(2))
 	obj := func(d *difftree.Node) float64 {
-		return core.StateCost(d, log, model, 2, rng)
+		return eval.SampledCost(d, log, model, 2, rng)
 	}
 	res := search.Random(context.Background(), init, spaceFor(init, log), obj, 4, 6, 7)
 	if math.IsInf(res.BestCost, 1) {
@@ -70,7 +70,7 @@ func TestBeamAtLeastGreedy(t *testing.T) {
 	// comparisons are meaningful.
 	rng := rand.New(rand.NewSource(3))
 	obj := func(d *difftree.Node) float64 {
-		return core.StateCost(d, log, model, 0, rng)
+		return eval.SampledCost(d, log, model, 0, rng)
 	}
 	g := search.Greedy(context.Background(), init, spaceFor(init, log), obj, 10)
 	b := search.Beam(context.Background(), init, spaceFor(init, log), obj, 3, 10)
@@ -86,7 +86,7 @@ func TestExhaustiveTinySpace(t *testing.T) {
 	model := cost.Default(layout.Wide)
 	rng := rand.New(rand.NewSource(4))
 	obj := func(d *difftree.Node) float64 {
-		return core.StateCost(d, log, model, 0, rng)
+		return eval.SampledCost(d, log, model, 0, rng)
 	}
 	res, complete := search.Exhaustive(context.Background(), init, spaceFor(init, log), obj, 3000)
 	if !complete {

@@ -81,7 +81,8 @@ type Config struct {
 	Seed int64
 	// RolloutDepth bounds random walks during search. The paper allows up
 	// to 200; the default of 16 already saturates quality on the paper's
-	// logs (see the rollout-depth ablation in EXPERIMENTS.md).
+	// logs (see the rollout-depth ablation: `go run ./cmd/experiments -run
+	// ablation-rollout`).
 	RolloutDepth int
 	// RewardSamples is k, the random widget assignments scored per state.
 	// Default 5.
