@@ -19,6 +19,8 @@ import (
 // Cancelling ctx stops every worker promptly; the best interface found
 // across workers so far is still assembled and returned. Progress callbacks
 // are serialized across workers and tagged with the worker index.
+// Options.SearchTree seeds worker 0's search only; the other workers grow
+// fresh trees.
 func GenerateParallel(ctx context.Context, log []*ast.Node, opt Options, workers int) (*Result, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -54,6 +56,12 @@ func GenerateParallel(ctx context.Context, log []*ast.Node, opt Options, workers
 			defer wg.Done()
 			o := opt
 			o.Seed = opt.Seed + int64(w)*0x9e3779b9
+			if w > 0 {
+				// A search takes its reused tree over (re-rooting and
+				// backpropagating into it), so only worker 0 may have it;
+				// the others start fresh trees.
+				o.SearchTree = nil
+			}
 			results[w], errs[w] = generate(ctx, log, o, w)
 		}(w)
 	}

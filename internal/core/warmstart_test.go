@@ -183,3 +183,35 @@ func TestSearchTreeReRootOnAppend(t *testing.T) {
 		t.Error("re-rooted generation persisted no tree for the next append")
 	}
 }
+
+// TestReuseSearchTreeUnderRootParallel is the regression test for the data
+// race between root-parallel workers and a reused search tree: every root
+// worker used to re-root and backpropagate into the one Options.SearchTree
+// concurrently. Only root worker 0 may take the tree. Run under -race.
+func TestReuseSearchTreeUnderRootParallel(t *testing.T) {
+	if testing.Short() {
+		t.Skip("search test")
+	}
+	log := workload.PaperFigure1Log()
+	base := Options{Iterations: 8, RolloutDepth: 6, Seed: 7}
+	prev, err := Generate(context.Background(), log, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := base
+	opt.WarmStart, opt.SearchTree = prev.DiffTree, prev.SearchTree
+	res, err := GenerateParallel(context.Background(), log, opt, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Stats.WarmStarted {
+		t.Fatal("warm state not reused")
+	}
+	if res.Cost.Total() > prev.Cost.Total() {
+		t.Errorf("warm-started root-parallel append cost %v, worse than its warm state's %v",
+			res.Cost.Total(), prev.Cost.Total())
+	}
+	if res.SearchTree == nil {
+		t.Error("root-parallel append persisted no tree for the next append")
+	}
+}
