@@ -92,10 +92,12 @@ load-smoke:
 	$(GO) run ./cmd/mctsload -out - -duration-ms 3000 -warmup-ms 1000 \
 		-rate-scale 0.5 -max-p99-ms 0 -min-goodput 0
 
-# race-tree runs the tree-parallel race suite CI gates on: shared-tree
-# stress, virtual-loss accounting invariants, TreeWorkers=1 bit-identity.
+# race-tree runs the shared-tree race suite CI gates on: shared-tree
+# stress, virtual-loss accounting invariants, TreeWorkers=1 bit-identity,
+# the pinned single-worker results, and tree reuse (single-worker,
+# tree-parallel, and under root-parallel workers).
 race-tree:
-	$(GO) test -race -count=2 -run 'TreeParallel|TreeWorkers|VirtualLoss' ./internal/mcts ./internal/core .
+	$(GO) test -race -count=2 -run 'TreeParallel|TreeWorkers|VirtualLoss|SingleWorkerSearchPinned|Reuse' ./internal/mcts ./internal/core .
 
 # golden regenerates the end-to-end fixtures under testdata/golden/ (run it
 # after an intentional change to search or cost semantics, then review the

@@ -170,11 +170,11 @@ func WithWorkers(n int) Option {
 // parallelization) and keeps the best. The two compose: WithWorkers(2) and
 // WithTreeWorkers(4) runs two trees with four goroutines each.
 //
-// Determinism contract: n <= 1 (the default) is the sequential search,
-// bit-identical per seed. n > 1 gives up run-to-run reproducibility (worker
-// interleaving decides which states are visited) in exchange for speed;
-// only the quality envelope is pinned. Non-MCTS strategies ignore this
-// option. Values below 1 mean 1.
+// Determinism contract: n = 1 (the default) is bit-identical per seed.
+// n > 1 gives up run-to-run reproducibility (worker interleaving decides
+// which states are visited) in exchange for speed; only the quality
+// envelope is pinned. Search trees persist and re-root (WithSearchTree) for
+// every n. Non-MCTS strategies ignore this option. Values below 1 mean 1.
 func WithTreeWorkers(n int) Option {
 	return func(g *Generator) {
 		if n < 1 {
@@ -231,8 +231,8 @@ func WithWarmStart(f *Interface) Option {
 }
 
 // SearchTree is an opaque persisted MCTS search tree, obtained from
-// Interface.SearchTree after a sequential (TreeWorkers <= 1) MCTS search and
-// fed back through WithSearchTree on the next Generate over an appended log.
+// Interface.SearchTree after an MCTS search and fed back through
+// WithSearchTree on the next Generate over an appended log.
 // It retains every state the search materialized, so holders should keep
 // only the latest tree per session rather than accumulate generations.
 type SearchTree struct {
@@ -251,10 +251,11 @@ type SearchTree struct {
 // re-rooting happened. Reused nodes are reconciled against the current
 // (appended) log before being descended through, so a stale tree can never
 // smuggle in states that are no longer legal — results remain bit-identical
-// to what a search over the current log could produce. Only the sequential
-// MCTS search persists and accepts trees: with WithTreeWorkers(n > 1) or a
-// non-MCTS strategy the option is ignored and SearchTree() returns nil. A
-// nil tree is ignored.
+// to what a search over the current log could produce. The search takes the
+// tree over, so pass each tree to one Generate; with WithWorkers(n > 1) the
+// first root worker reuses it and the others search fresh trees. Non-MCTS
+// strategies ignore the option and SearchTree() returns nil for them. A nil
+// tree is ignored.
 func WithSearchTree(t *SearchTree) Option {
 	return func(g *Generator) {
 		if t != nil && t.t != nil {

@@ -127,7 +127,7 @@ type SearchStats struct {
 	// previous interface.
 	WarmStarted bool `json:"warm_started"`
 	// ReRooted reports that this search reused the session's previous MCTS
-	// tree, re-rooted at its best state (sequential session appends only).
+	// tree, re-rooted at its best state (MCTS session appends only).
 	ReRooted bool `json:"re_rooted"`
 }
 

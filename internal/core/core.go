@@ -80,13 +80,13 @@ type Options struct {
 	// Initial cost reference).
 	WarmStart *difftree.Node
 	// SearchTree, when non-nil, seeds the MCTS strategy with the search tree
-	// persisted by a previous sequential run (Result.SearchTree), typically
+	// persisted by a previous run (Result.SearchTree), typically
 	// alongside WarmStart on a session append: if the warm root occurs in
 	// the reused tree, the search re-roots there and keeps the subtree's
 	// visit statistics instead of rebuilding the tree from scratch
 	// (Stats.ReRooted reports it; reconciliation semantics in mcts.Config).
-	// Only the sequential MCTS strategy consults it — tree-parallel and
-	// non-MCTS strategies ignore it and persist nothing.
+	// The search takes the tree over, so one tree seeds one search.
+	// Non-MCTS strategies ignore it and persist nothing.
 	SearchTree *mcts.Tree
 	// SkipInitialRef leaves Result.Initial zero and Stats.InitialFan
 	// unset, skipping the extraction pass and move enumeration that exist
@@ -106,12 +106,12 @@ type Options struct {
 	Rules []rules.Rule
 	// Strategy selects the search procedure (default StrategyMCTS()).
 	Strategy Strategy
-	// TreeWorkers > 1 runs the MCTS search tree-parallel: that many
-	// goroutines share one search tree, diversified by virtual loss, all
-	// draining their leaf evaluations through the shared transposition
-	// cache. <= 1 (the default) keeps the sequential search, bit-identical
-	// per seed; > 1 trades that reproducibility for iterations/sec (only
-	// the quality envelope is pinned). Orthogonal to GenerateParallel's
+	// TreeWorkers is how many goroutines run the MCTS search on its one
+	// tree, diversified by virtual loss, all draining their leaf
+	// evaluations through the shared transposition cache. One (the
+	// default; <= 1 means one) is bit-identical per seed; more trade that
+	// reproducibility for iterations/sec (only the quality envelope is
+	// pinned). Orthogonal to GenerateParallel's
 	// root parallelization: each root worker runs TreeWorkers goroutines.
 	// Non-MCTS strategies ignore it.
 	TreeWorkers int
@@ -129,8 +129,8 @@ type Result struct {
 	Initial  cost.Breakdown // cost of the initial state's best interface
 	Stats    Stats          // search statistics
 	Log      []*ast.Node    // the input log (parsed)
-	// SearchTree is the MCTS tree this search built (sequential MCTS only,
-	// nil otherwise). Feed it back through Options.SearchTree on the next
+	// SearchTree is the MCTS tree this search built (nil for non-MCTS
+	// strategies). Feed it back through Options.SearchTree on the next
 	// warm-started call over the same session to re-root instead of
 	// rebuilding. It retains every state the search materialized; keep only
 	// the latest.
@@ -152,7 +152,7 @@ type Stats struct {
 	WarmStarted    bool // the search was seeded from Options.WarmStart
 	ReRooted       bool // the MCTS tree was reused via Options.SearchTree
 	Workers        int  // root-parallel workers that contributed
-	TreeWorkers    int  // goroutines sharing each search tree (1 = sequential)
+	TreeWorkers    int  // goroutines sharing each search tree
 	Elapsed        time.Duration
 	// CacheHits/CacheMisses/CacheEntries snapshot the evaluation engine's
 	// transposition cache at the end of the search (all zero with

@@ -33,7 +33,7 @@ type Strategy interface {
 
 // searchOutcome is what a strategy hands back to Generate: the best
 // difftree plus the search-phase half of the final Stats, and — for
-// sequential MCTS — the search tree for warm reuse.
+// MCTS — the search tree for warm reuse.
 type searchOutcome struct {
 	best  *difftree.Node
 	stats Stats
@@ -264,20 +264,15 @@ func (mctsStrategy) search(ctx context.Context, p *problem) searchOutcome {
 		p.states = r.Expanded
 		p.emit()
 	}
-	var reuse *mcts.Tree
-	if tw == 1 {
-		reuse = p.opt.SearchTree // re-rooting is a sequential-search feature
-	}
 	res := mcts.Search(ctx, dom, state{d: p.root, h: difftree.Hash(p.root)}, mcts.Config{
-		C:                p.opt.ExplorationC,
-		MaxRolloutDepth:  p.opt.RolloutDepth,
-		Iterations:       p.opt.Iterations,
-		TimeBudget:       p.opt.TimeBudget,
-		Seed:             p.opt.Seed,
-		TreeWorkers:      tw,
-		EvaluateChildren: true,
-		Reuse:            reuse,
-		Progress:         progress,
+		C:               p.opt.ExplorationC,
+		MaxRolloutDepth: p.opt.RolloutDepth,
+		Iterations:      p.opt.Iterations,
+		TimeBudget:      p.opt.TimeBudget,
+		Seed:            p.opt.Seed,
+		TreeWorkers:     tw,
+		Reuse:           p.opt.SearchTree,
+		Progress:        progress,
 	})
 	return searchOutcome{
 		best: res.Best.(state).d,

@@ -18,7 +18,6 @@ import (
 	"repro/internal/cost"
 	"repro/internal/difftree"
 	"repro/internal/layout"
-	"repro/internal/mcts"
 	"repro/internal/rules"
 	"repro/internal/widgets"
 	"repro/internal/workload"
@@ -437,7 +436,3 @@ func Named(name string) (func(context.Context, Config) string, bool) {
 	f, ok := m[name]
 	return f, ok
 }
-
-// mctsSanity references the mcts package so the experiments package can
-// host direct search ablations later without import churn.
-var _ = mcts.DefaultConfig

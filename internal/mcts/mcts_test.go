@@ -56,7 +56,7 @@ func (d trapDomain) Reward(s State) float64 {
 
 func TestSearchFindsPeak(t *testing.T) {
 	d := lineDomain{n: 40, target: 25}
-	res := Search(context.Background(), d, lineState(0), Config{Iterations: 600, MaxRolloutDepth: 60, Seed: 5, EvaluateChildren: true})
+	res := Search(context.Background(), d, lineState(0), Config{Iterations: 600, MaxRolloutDepth: 60, Seed: 5})
 	got := int(res.Best.(lineState))
 	if got != d.target {
 		t.Errorf("best state = %d, want %d (reward %f)", got, d.target, res.BestReward)
@@ -74,7 +74,7 @@ func TestSearchFindsPeak(t *testing.T) {
 
 func TestSearchEscapesTrap(t *testing.T) {
 	d := trapDomain{lineDomain{n: 30, target: 22}}
-	res := Search(context.Background(), d, lineState(0), Config{Iterations: 800, MaxRolloutDepth: 40, Seed: 3, EvaluateChildren: true})
+	res := Search(context.Background(), d, lineState(0), Config{Iterations: 800, MaxRolloutDepth: 40, Seed: 3})
 	if int(res.Best.(lineState)) != 22 {
 		t.Errorf("stuck at %d (reward %f)", int(res.Best.(lineState)), res.BestReward)
 	}
@@ -273,35 +273,55 @@ func TestProgressCallback(t *testing.T) {
 	}
 }
 
+// newNode builds a detached node with the given statistics.
+func newNode(parent *node, visits int64, total float64) *node {
+	n := &node{parent: parent}
+	n.visits.Store(visits)
+	n.addTotal(total)
+	return n
+}
+
 func TestUCTMath(t *testing.T) {
-	parent := &node{visits: 10}
-	child := &node{parent: parent, visits: 2, total: 1.0}
+	parent := newNode(nil, 10, 0)
+	child := newNode(parent, 2, 1.0)
 	got := uct(child, 1.0)
 	want := 0.5 + math.Sqrt(math.Log(10)/2)
 	if math.Abs(got-want) > 1e-12 {
 		t.Errorf("uct = %f, want %f", got, want)
 	}
-	if !math.IsInf(uct(&node{parent: parent}, 1.0), 1) {
+	if !math.IsInf(uct(newNode(parent, 0, 0), 1.0), 1) {
 		t.Error("unvisited node must have infinite UCT")
 	}
-	root := &node{visits: 3, total: 1.5}
+	root := newNode(nil, 3, 1.5)
 	if uct(root, 1.0) != 0.5 {
 		t.Error("root UCT is pure exploitation")
 	}
+	// Virtual loss: each in-flight path counts as a zero-reward visit on
+	// the node and on its parent.
+	child.vloss.Store(2)
+	parent.vloss.Store(6)
+	want = 0.25 + math.Sqrt(math.Log(16)/4)
+	if got := uct(child, 1.0); math.Abs(got-want) > 1e-12 {
+		t.Errorf("uct under virtual loss = %f, want %f", got, want)
+	}
 }
 
-func TestDefaultConfig(t *testing.T) {
-	cfg := DefaultConfig()
-	if cfg.MaxRolloutDepth != 200 {
-		t.Error("paper rollout depth is 200")
+// TestZeroConfigDefaults: a zero-value Config runs the paper's setup —
+// rollouts of 200 steps, C = √2 — on a bounded budget of 100 iterations.
+func TestZeroConfigDefaults(t *testing.T) {
+	d := &samplerDomain{lineDomain: lineDomain{n: 5, target: 4}}
+	res := Search(context.Background(), d, lineState(0), Config{Seed: 1})
+	if res.Iterations != 100 {
+		t.Errorf("zero config ran %d iterations, want the default budget of 100", res.Iterations)
 	}
-	if cfg.C != math.Sqrt2 {
-		t.Error("default C")
+	// A line always has a neighbor, so every walk runs the full depth.
+	if d.samplerCalls != 200*res.Rollouts {
+		t.Errorf("%d sampler steps over %d rollouts, want the paper's depth of 200 each", d.samplerCalls, res.Rollouts)
 	}
-	// Zero-value config still runs (defaults kick in).
-	res := Search(context.Background(), lineDomain{n: 5, target: 4}, lineState(0), Config{Seed: 1})
-	if res.Iterations == 0 {
-		t.Error("zero config should default to a bounded run")
+	explicit := Search(context.Background(), &samplerDomain{lineDomain: d.lineDomain}, lineState(0),
+		Config{C: math.Sqrt2, MaxRolloutDepth: 200, Iterations: 100, Seed: 1})
+	if pinOf(explicit) != pinOf(res) {
+		t.Errorf("zero config diverged from the explicit defaults:\n got %+v\nwant %+v", pinOf(res), pinOf(explicit))
 	}
 }
 
@@ -311,8 +331,8 @@ func TestBackprop(t *testing.T) {
 	leaf := &node{parent: mid}
 	backprop(leaf, 0.75)
 	for i, n := range []*node{root, mid, leaf} {
-		if n.visits != 1 || n.total != 0.75 {
-			t.Errorf("node %d: visits=%d total=%f", i, n.visits, n.total)
+		if n.visits.Load() != 1 || n.total() != 0.75 {
+			t.Errorf("node %d: visits=%d total=%f", i, n.visits.Load(), n.total())
 		}
 	}
 }

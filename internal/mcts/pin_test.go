@@ -25,7 +25,7 @@ func pinOf(r Result) pinned {
 
 // pinConfig is the search configuration every pinned case starts from.
 func pinConfig(iterations, depth int, seed int64) Config {
-	return Config{Iterations: iterations, MaxRolloutDepth: depth, Seed: seed, EvaluateChildren: true}
+	return Config{Iterations: iterations, MaxRolloutDepth: depth, Seed: seed}
 }
 
 // reRooted runs a cold search from state 0 in first, then a second search

@@ -11,11 +11,11 @@ import (
 // children skip their simulation pass — at an equal-or-better best reward.
 func TestReuseReRootsAndSavesEvals(t *testing.T) {
 	d := lineDomain{n: 60, target: 12}
-	base := Config{Iterations: 300, MaxRolloutDepth: 30, Seed: 11, EvaluateChildren: true}
+	base := Config{Iterations: 300, MaxRolloutDepth: 30, Seed: 11}
 
 	first := Search(context.Background(), d, lineState(0), base)
 	if first.Tree == nil {
-		t.Fatal("sequential search returned no tree")
+		t.Fatal("search returned no tree")
 	}
 	if first.ReRooted {
 		t.Fatal("fresh search claims re-rooting")
@@ -42,7 +42,7 @@ func TestReuseReRootsAndSavesEvals(t *testing.T) {
 // its statistics survive.
 func TestReuseReRootsAtDescendant(t *testing.T) {
 	d := lineDomain{n: 60, target: 12}
-	base := Config{Iterations: 300, MaxRolloutDepth: 30, Seed: 7, EvaluateChildren: true}
+	base := Config{Iterations: 300, MaxRolloutDepth: 30, Seed: 7}
 	first := Search(context.Background(), d, lineState(0), base)
 
 	warm := base
@@ -60,7 +60,7 @@ func TestReuseReRootsAtDescendant(t *testing.T) {
 // materialized starts a fresh search (no re-root, no panic).
 func TestReuseUnknownRootFallsBack(t *testing.T) {
 	d := lineDomain{n: 200, target: 5}
-	small := Config{Iterations: 10, MaxRolloutDepth: 3, Seed: 3, EvaluateChildren: true}
+	small := Config{Iterations: 10, MaxRolloutDepth: 3, Seed: 3}
 	first := Search(context.Background(), d, lineState(0), small)
 
 	warm := small
@@ -79,7 +79,7 @@ func TestReuseUnknownRootFallsBack(t *testing.T) {
 // their visits) and drops states that are no longer reachable.
 func TestReuseReconcileDropsAndKeepsChildren(t *testing.T) {
 	big := lineDomain{n: 40, target: 30}
-	base := Config{Iterations: 120, MaxRolloutDepth: 20, Seed: 9, EvaluateChildren: true}
+	base := Config{Iterations: 120, MaxRolloutDepth: 20, Seed: 9}
 	first := Search(context.Background(), big, lineState(0), base)
 
 	// Shrink the domain: states >= 20 vanish. The reused tree still holds
@@ -98,14 +98,14 @@ func TestReuseReconcileDropsAndKeepsChildren(t *testing.T) {
 	// domain once visited — reconciled nodes must have pruned them.
 	var audit func(n *node)
 	audit = func(n *node) {
-		if n.epoch == res.Tree.epoch {
-			for _, c := range n.children {
+		if e := n.exp.Load(); e != nil && e.epoch == res.Tree.epoch {
+			for _, c := range e.children {
 				if int(c.state.(lineState)) >= shrunk.n {
 					t.Errorf("reconciled node %v kept out-of-domain child %v", n.state, c.state)
 				}
 			}
 		}
-		for _, c := range n.children {
+		for _, c := range n.children() {
 			audit(c)
 		}
 	}

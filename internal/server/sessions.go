@@ -31,8 +31,8 @@ type session struct {
 	// generation or import. Guarded by lockc.
 	sess *mctsui.Session
 	// tree is the MCTS search tree persisted by the session's latest
-	// generation, re-rooted into the next append's search (nil for
-	// tree-parallel or non-MCTS searches, and for imported interfaces).
+	// generation, re-rooted into the next append's search (nil for non-MCTS
+	// searches and for imported interfaces).
 	// Only the latest tree is kept. Guarded by lockc.
 	tree *mctsui.SearchTree
 	// lastUsed, refs, and populated are guarded by the *server* mutex:

@@ -194,8 +194,7 @@ func (f *Interface) SearchStats() Stats { return f.res.Stats }
 // SearchTree returns the MCTS search tree this generation persisted, for
 // feeding back through WithSearchTree on the next generation over an
 // appended log (see that option for the re-rooting contract). It is nil
-// unless the interface came from a sequential (TreeWorkers <= 1) MCTS
-// search.
+// unless the interface came from an MCTS search.
 func (f *Interface) SearchTree() *SearchTree {
 	if f.res.SearchTree == nil {
 		return nil
