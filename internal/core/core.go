@@ -111,9 +111,9 @@ type Options struct {
 	// evaluations through the shared transposition cache. One (the
 	// default; <= 1 means one) is bit-identical per seed; more trade that
 	// reproducibility for iterations/sec (only the quality envelope is
-	// pinned). Orthogonal to GenerateParallel's
-	// root parallelization: each root worker runs TreeWorkers goroutines.
-	// Non-MCTS strategies ignore it.
+	// pinned). Orthogonal to GenerateParallel's root parallelization: each
+	// root worker runs TreeWorkers goroutines. Non-MCTS strategies ignore
+	// it.
 	TreeWorkers int
 	// Progress, when non-nil, receives anytime snapshots while the search
 	// runs. Under GenerateParallel the callback is serialized across

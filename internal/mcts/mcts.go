@@ -98,7 +98,7 @@ type Config struct {
 	// The search takes the tree over: one tree seeds at most one Search.
 	Reuse *Tree
 	// Progress, when non-nil, is invoked after every iteration with the
-	// running result (anytime observability). It runs on the search
+	// running result (anytime observability). It runs on a worker
 	// goroutine and must be fast. With TreeWorkers > 1 it may be invoked
 	// concurrently from several workers; callers needing serialization
 	// wrap the callback in their own mutex.

@@ -27,7 +27,7 @@ func auditVirtualLoss(t *testing.T, tree *Tree) {
 
 // TestTreeParallelFindsPeak: a tree-parallel search spends the full shared
 // budget and homes in on the peak. Which states one run visits depends on
-// worker interleaving, and at this budget even the sequential search misses
+// worker interleaving, and at this budget even a single worker misses
 // the exact peak on a few percent of seeds, so a single run is a draw, not a
 // property. The property is over a batch of seeds: every run spends its
 // whole budget, and the peak is found in the batch.
@@ -172,6 +172,9 @@ func TestTreeParallelReuseReRoots(t *testing.T) {
 	auditVirtualLoss(t, res.Tree)
 	if res.Tree.root.state != lineState(1) || res.Tree.root.parent != nil {
 		t.Errorf("tree not re-rooted at state 1: root %v", res.Tree.root.state)
+	}
+	if e := res.Tree.root.exp.Load(); e == nil || e.epoch != res.Tree.epoch {
+		t.Error("the re-rooted root was not reconciled under the current epoch")
 	}
 	if rv := res.Tree.root.visits.Load(); rv <= before {
 		t.Errorf("re-rooted root has %d visits, %d before the search; the reused statistics were lost", rv, before)
