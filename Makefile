@@ -3,9 +3,11 @@ GO ?= go
 .PHONY: verify build vet fmt test test-fast bench bench-allocs bench-json bench-serving bench-serving-fleet fleet load-smoke race-tree golden fuzz-smoke serve join-scenarios staticcheck mctsvet lint govulncheck perfbench-check
 
 # verify is the tier-1 gate: build, formatting, static analysis (go vet +
-# the custom mctsvet suite), and the full test suite. Everything in verify
-# works offline; lint adds the network-fetched checkers on top.
-verify: build fmt mctsvet test
+# the custom mctsvet suite), the full test suite, and perfbench-check — the
+# only local target that compiles the benchmark module against the root
+# module's API. Everything in verify works offline; lint adds the
+# network-fetched checkers on top.
+verify: build fmt mctsvet test perfbench-check
 
 build:
 	$(GO) build ./...
@@ -123,7 +125,7 @@ join-scenarios:
 	$(GO) run ./cmd/searchbench -out /tmp/bench-join.json -workload sdss-join -tree-workers 0 -min-speedup 0
 
 # perfbench-check mirrors the CI perfbench job: vet and test the benchmark
-# module, which is its own Go module, so the targets above never compile it.
+# module, which is its own Go module, so the other targets never compile it.
 perfbench-check:
 	$(GO) -C perfbench vet ./...
 	$(GO) -C perfbench test ./...

@@ -13,7 +13,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/ast"
 	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/cost"
@@ -21,7 +20,6 @@ import (
 	"repro/internal/eval"
 	"repro/internal/layout"
 	"repro/internal/rules"
-	"repro/internal/search"
 	"repro/internal/sqlparser"
 	"repro/internal/workload"
 )
@@ -188,60 +186,31 @@ func BenchmarkBaselineVsMCTS(b *testing.B) {
 	})
 }
 
-// benchSpace is the shared comparator state space with the engine's prune.
-func benchSpace(init *difftree.Node, log []*ast.Node) search.Space {
-	return search.SpaceFor(init, log, rules.All())
-}
-
 // BenchmarkSearchStrategies compares MCTS against random, greedy, and beam
-// search (experiment C2).
+// search (experiment C2), each run through the one pipeline with
+// Options.Strategy.
 func BenchmarkSearchStrategies(b *testing.B) {
 	log := workload.SDSSLog()
-	init, err := difftree.Initial(log)
-	if err != nil {
-		b.Fatal(err)
-	}
-	model := cost.Default(layout.Wide)
-	obj := func(rng *rand.Rand) search.Objective {
-		return func(d *difftree.Node) float64 {
-			return eval.SampledCost(d, log, model, 3, rng)
-		}
-	}
-	b.Run("random", func(b *testing.B) {
-		var last float64
-		for i := 0; i < b.N; i++ {
-			r := search.Random(context.Background(), init, benchSpace(init, log), obj(rand.New(rand.NewSource(1))), 4, 8, 1)
-			last = r.BestCost
-		}
-		reportCost(b, last)
-	})
-	b.Run("greedy", func(b *testing.B) {
-		var last float64
-		for i := 0; i < b.N; i++ {
-			r := search.Greedy(context.Background(), init, benchSpace(init, log), obj(rand.New(rand.NewSource(1))), 12)
-			last = r.BestCost
-		}
-		reportCost(b, last)
-	})
-	b.Run("beam3", func(b *testing.B) {
-		var last float64
-		for i := 0; i < b.N; i++ {
-			r := search.Beam(context.Background(), init, benchSpace(init, log), obj(rand.New(rand.NewSource(1))), 3, 8)
-			last = r.BestCost
-		}
-		reportCost(b, last)
-	})
-	b.Run("mcts", func(b *testing.B) {
-		var last float64
-		for i := 0; i < b.N; i++ {
-			res, err := core.Generate(context.Background(), log, benchOpts(layout.Wide))
-			if err != nil {
-				b.Fatal(err)
+	for _, s := range []core.Strategy{
+		core.StrategyRandom(4),
+		core.StrategyGreedy(),
+		core.StrategyBeam(3),
+		core.StrategyMCTS(),
+	} {
+		b.Run(s.Name(), func(b *testing.B) {
+			var last float64
+			for i := 0; i < b.N; i++ {
+				o := benchOpts(layout.Wide)
+				o.Strategy = s
+				res, err := core.Generate(context.Background(), log, o)
+				if err != nil {
+					b.Fatal(err)
+				}
+				last = res.Cost.Total()
 			}
-			last = res.Cost.Total()
-		}
-		reportCost(b, last)
-	})
+			reportCost(b, last)
+		})
+	}
 }
 
 // BenchmarkExplorationConstant sweeps UCT's c (ablation A1).

@@ -6,7 +6,9 @@
 //
 //	experiments [-run all|fig6a|fig6b|fig6c|fig6d|fig6e|space|budget|
 //	             baseline|strategies|ablation-c|ablation-rollout|scaling]
-//	            [-iters 40] [-rollout 12] [-seed 1] [-timeout 0]
+//	            [-iters n] [-rollout n] [-seed n] [-timeout d]
+//
+// The search settings default to experiments.Default().
 //
 // Experiments honor Ctrl-C (and -timeout): the run stops promptly and the
 // reports produced so far are kept.
@@ -26,9 +28,10 @@ import (
 
 func main() {
 	run := flag.String("run", "all", "experiment id (fig6a..fig6e, space, budget, baseline, strategies, ablation-c, ablation-rollout, scaling, all) or comma-separated list")
-	iters := flag.Int("iters", 40, "search iterations per generated interface")
-	rollout := flag.Int("rollout", 12, "rollout depth during search")
-	seed := flag.Int64("seed", 1, "base seed")
+	cfg := experiments.Default()
+	flag.IntVar(&cfg.Iterations, "iters", cfg.Iterations, "search iterations per generated interface")
+	flag.IntVar(&cfg.RolloutDepth, "rollout", cfg.RolloutDepth, "rollout depth during search")
+	flag.Int64Var(&cfg.Seed, "seed", cfg.Seed, "base seed")
 	timeout := flag.Duration("timeout", 0, "overall wall-clock cap for the run (0 = none)")
 	flag.Parse()
 
@@ -40,7 +43,6 @@ func main() {
 		defer cancel()
 	}
 
-	cfg := experiments.Config{Iterations: *iters, RolloutDepth: *rollout, Seed: *seed}
 	start := time.Now()
 	for _, name := range strings.Split(*run, ",") {
 		name = strings.TrimSpace(name)

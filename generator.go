@@ -288,6 +288,16 @@ func WithProgress(fn func(Progress)) Option { return func(g *Generator) { g.opt.
 // an error (Stats().Interrupted reports the early stop). Errors are
 // reserved for empty logs and unparsable queries.
 func (g *Generator) Generate(ctx context.Context, queries []string) (*Interface, error) {
+	log, err := parseLog(queries)
+	if err != nil {
+		return nil, err
+	}
+	return g.GenerateFromASTs(ctx, log)
+}
+
+// parseLog parses a non-empty query log, naming the first query (1-based)
+// that fails to parse.
+func parseLog(queries []string) ([]*ast.Node, error) {
 	if len(queries) == 0 {
 		return nil, errors.New("mctsui: empty query log")
 	}
@@ -299,7 +309,7 @@ func (g *Generator) Generate(ctx context.Context, queries []string) (*Interface,
 		}
 		log[i] = n
 	}
-	return g.GenerateFromASTs(ctx, log)
+	return log, nil
 }
 
 // GenerateFromASTs runs the pipeline on pre-parsed queries (see the

@@ -52,16 +52,8 @@ type Options struct {
 	RewardSamples int
 	// ExplorationC is the UCT exploration constant (default √2).
 	ExplorationC float64
-	// EnumLimit caps the final widget-tree enumeration (default 20000).
-	EnumLimit int
 	// Seed makes generation deterministic (default 1).
 	Seed int64
-	// EvalSeed seeds per-state reward sampling in the evaluation engine
-	// (default: Seed). State costs are pure functions of (state, EvalSeed),
-	// so GenerateParallel keeps EvalSeed at the base seed across workers —
-	// letting them share one transposition cache — while perturbing Seed to
-	// diversify their search policies.
-	EvalSeed int64
 	// Cache is the shared transposition cache backing the memoized
 	// evaluation engine. Nil means a private cache per Generate call
 	// (GenerateParallel shares one across its workers). Pass the same cache
@@ -100,10 +92,6 @@ type Options struct {
 	// visit. Results are identical for a fixed seed — only slower; the
 	// bench harness uses this as its reference baseline.
 	DisableMemo bool
-	// NavUnit is the Steiner-edge navigation cost (default 0.3).
-	NavUnit float64
-	// Rules is the transformation rule set (default rules.All()).
-	Rules []rules.Rule
 	// Strategy selects the search procedure (default StrategyMCTS()).
 	Strategy Strategy
 	// TreeWorkers is how many goroutines run the MCTS search on its one
@@ -174,16 +162,20 @@ type Stats struct {
 // interface found so far is extracted and returned (with Stats.Interrupted
 // set) rather than an error. A nil ctx is treated as context.Background().
 func Generate(ctx context.Context, log []*ast.Node, opt Options) (*Result, error) {
-	return generate(ctx, log, opt, 0)
+	opt = opt.withDefaults()
+	return generate(ctx, log, opt, 0, opt.Seed)
 }
 
-// generate is Generate plus the worker index used by GenerateParallel's
-// progress snapshots.
-func generate(ctx context.Context, log []*ast.Node, opt Options, worker int) (*Result, error) {
+// generate is Generate over resolved options, plus the worker index used by
+// GenerateParallel's progress snapshots and the seed of per-state reward
+// sampling. State costs are pure functions of (state, evalSeed), so
+// GenerateParallel passes every worker the base seed — letting them share
+// one transposition cache — while perturbing opt.Seed to diversify their
+// search policies.
+func generate(ctx context.Context, log []*ast.Node, opt Options, worker int, evalSeed int64) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	opt = opt.withDefaults()
 	if len(log) == 0 {
 		return nil, errors.New("core: empty query log")
 	}
@@ -192,8 +184,8 @@ func generate(ctx context.Context, log []*ast.Node, opt Options, worker int) (*R
 		return nil, err
 	}
 
-	model := cost.Model{NavUnit: opt.NavUnit, Screen: opt.Screen}
-	eng := newEngine(log, init, model, opt)
+	model := cost.Default(opt.Screen)
+	eng := newEngine(log, init, model, opt, evalSeed)
 	p := newProblem(log, init, model, opt, eng, worker)
 	if opt.WarmStart != nil && eng.LegalState(opt.WarmStart) {
 		// Warm start: the previous best interface is still a legal state for
@@ -209,13 +201,13 @@ func generate(ctx context.Context, log []*ast.Node, opt Options, worker int) (*R
 	// on the initial state — e.g. a context cancelled before the first
 	// iteration — one extraction serves as both the result and the
 	// initial-state reference, halving the post-cancellation work.
-	ui, bd, complete := BestInterface(best, log, model, opt.EnumLimit, opt.Seed)
+	ui, bd, complete := BestInterface(best, log, model, DefaultEnumLimit, opt.Seed)
 
 	initBD := bd
 	if opt.SkipInitialRef {
 		initBD = cost.Breakdown{}
 	} else if difftree.Hash(best) != difftree.Hash(init) {
-		_, initBD, _ = BestInterface(init, log, model, opt.EnumLimit, opt.Seed)
+		_, initBD, _ = BestInterface(init, log, model, DefaultEnumLimit, opt.Seed)
 	}
 
 	stats := res.stats
@@ -300,10 +292,11 @@ func BestInterface(d *difftree.Node, log []*ast.Node, model cost.Model, enumLimi
 // newEngine builds the evaluation engine for one generate call: the
 // memoized (or, with DisableMemo, recomputing) source of state costs,
 // legality verdicts, and move sets that every strategy shares. Costs are
-// seeded per state from EvalSeed, so two engines with equal configs agree
+// seeded per state from evalSeed, so two engines with equal configs agree
 // on every value — the basis for sharing Options.Cache across workers and
-// successive calls.
-func newEngine(log []*ast.Node, init *difftree.Node, model cost.Model, opt Options) *eval.Engine {
+// successive calls. The size cap derives from the initial state, not the
+// search root: a warm start must not inflate the reachable space.
+func newEngine(log []*ast.Node, init *difftree.Node, model cost.Model, opt Options, evalSeed int64) *eval.Engine {
 	cache := opt.Cache
 	if cache == nil && !opt.DisableMemo {
 		cache = eval.NewCache(0)
@@ -315,9 +308,9 @@ func newEngine(log []*ast.Node, init *difftree.Node, model cost.Model, opt Optio
 		Log:     log,
 		Model:   model,
 		Samples: opt.RewardSamples,
-		Rules:   opt.Rules,
+		Rules:   rules.All(),
 		SizeCap: search.SizeCap(init),
-		Seed:    opt.EvalSeed,
+		Seed:    evalSeed,
 	}, cache)
 }
 
@@ -348,7 +341,7 @@ type domain struct {
 // newDomain builds the MCTS domain over p. The reward scale is read from the
 // engine directly, so it is not counted as a search evaluation.
 func newDomain(p *problem) *domain {
-	d := &domain{eng: p.eng, ruleSet: p.opt.Rules, p: p, scale: 10}
+	d := &domain{eng: p.eng, ruleSet: rules.All(), p: p, scale: 10}
 	if c := p.eng.StateCost(p.init); !math.IsInf(c, 1) && c > 0 {
 		d.scale = c
 	}

@@ -20,7 +20,6 @@ func fastOpts(screen layout.Screen) Options {
 		Iterations:    12,
 		RolloutDepth:  8,
 		RewardSamples: 3,
-		EnumLimit:     3000,
 		Seed:          1,
 	}
 }
@@ -100,8 +99,7 @@ func TestGenerateSingleQuery(t *testing.T) {
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
 	if o.Screen != layout.Wide || o.RolloutDepth != 16 || o.RewardSamples != 5 ||
-		o.ExplorationC != math.Sqrt2 || o.EnumLimit != 20000 || o.Seed != 1 ||
-		o.NavUnit != 0.3 || len(o.Rules) == 0 || o.Iterations != 60 {
+		o.ExplorationC != math.Sqrt2 || o.Seed != 1 || o.Iterations != 60 {
 		t.Errorf("defaults wrong: %+v", o)
 	}
 	// Explicit values survive.
@@ -244,7 +242,7 @@ func TestRewardMonotoneInCost(t *testing.T) {
 	model := cost.Default(layout.Wide)
 	opt := Options{}.withDefaults()
 	init, _ := difftree.Initial(log)
-	d := newDomain(newProblem(log, init, model, opt, newEngine(log, init, model, opt), 0))
+	d := newDomain(newProblem(log, init, model, opt, newEngine(log, init, model, opt, opt.Seed), 0))
 	s := state{d: init, h: difftree.Hash(init)}
 	r1 := d.Reward(s)
 	if r1 <= 0 || r1 > 1 {

@@ -4,13 +4,12 @@ import (
 	"math"
 
 	"repro/internal/layout"
-	"repro/internal/rules"
 )
 
 // Single source of truth for every search default. The public mctsui
 // package re-exports these constants, and Options.withDefaults below is the
-// only place they are applied — config docs, the engine, and cmd flags all
-// resolve through here, so the values cannot silently drift.
+// only place they fill Options fields — config docs, the engine, and cmd
+// flags all resolve through here, so the values cannot silently drift.
 const (
 	// DefaultIterations is the MCTS iteration budget (the paper's ~1-minute
 	// wall clock resolves to roughly this many iterations on its logs).
@@ -26,8 +25,6 @@ const (
 	DefaultSeed = 1
 	// DefaultEnumLimit caps the final widget-tree enumeration.
 	DefaultEnumLimit = 20000
-	// DefaultNavUnit is the Steiner-edge navigation cost.
-	DefaultNavUnit = 0.3
 	// DefaultBeamWidth is the frontier width of StrategyBeam.
 	DefaultBeamWidth = 8
 	// DefaultRandomWalks is the walk count of StrategyRandom.
@@ -55,20 +52,8 @@ func (o Options) withDefaults() Options {
 	if o.ExplorationC == 0 {
 		o.ExplorationC = DefaultExplorationC
 	}
-	if o.EnumLimit <= 0 {
-		o.EnumLimit = DefaultEnumLimit
-	}
 	if o.Seed == 0 {
 		o.Seed = DefaultSeed
-	}
-	if o.EvalSeed == 0 {
-		o.EvalSeed = o.Seed
-	}
-	if o.NavUnit == 0 {
-		o.NavUnit = DefaultNavUnit
-	}
-	if o.Rules == nil {
-		o.Rules = rules.All()
 	}
 	if o.Strategy == nil {
 		o.Strategy = StrategyMCTS()

@@ -30,10 +30,10 @@ func GenerateParallel(ctx context.Context, log []*ast.Node, opt Options, workers
 	}
 	opt = opt.withDefaults()
 	// One transposition cache serves every worker: state costs are pure
-	// functions of (state, EvalSeed) — withDefaults pinned EvalSeed to the
-	// base seed above, and only the policy seed is perturbed per worker —
-	// so a state scored by one worker is a guaranteed-identical cache hit
-	// for all the others.
+	// functions of (state, evalSeed), every worker samples rewards from the
+	// base seed, and only the policy seed is perturbed per worker — so a
+	// state scored by one worker is a guaranteed-identical cache hit for all
+	// the others.
 	if opt.Cache == nil && !opt.DisableMemo {
 		opt.Cache = eval.NewCache(0)
 	}
@@ -62,7 +62,7 @@ func GenerateParallel(ctx context.Context, log []*ast.Node, opt Options, workers
 				// the others start fresh trees.
 				o.SearchTree = nil
 			}
-			results[w], errs[w] = generate(ctx, log, o, w)
+			results[w], errs[w] = generate(ctx, log, o, w, opt.Seed)
 		}(w)
 	}
 	wg.Wait()

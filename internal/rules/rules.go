@@ -181,18 +181,6 @@ func Moves(root *difftree.Node, queries []*ast.Node, set []Rule) []Move {
 	return out
 }
 
-// TryApply attempts one (rule, path) candidate with the full legality gate
-// used by Moves: parent admissibility, pattern match, validation, and
-// expressibility preservation. It is the primitive behind random move
-// sampling in rollouts.
-func TryApply(root *difftree.Node, p difftree.Path, r Rule, queries []*ast.Node) (*difftree.Node, bool) {
-	next, ok := Candidate(root, p, r)
-	if !ok || !LegalState(next, queries) {
-		return nil, false
-	}
-	return next, true
-}
-
 // ApplyMove applies a move to root, returning the rewritten tree. It errors
 // if the move no longer matches (e.g. applied to a different tree).
 func ApplyMove(root *difftree.Node, m Move) (*difftree.Node, error) {

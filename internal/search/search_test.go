@@ -16,10 +16,10 @@ import (
 	"repro/internal/workload"
 )
 
-// spaceFor builds the shared strategy state space used across these tests,
-// through the same constructor the engine uses.
-func spaceFor(init *difftree.Node, log []*ast.Node) search.Space {
-	return search.SpaceFor(init, log, rules.All())
+// engineFor builds the uncached evaluation engine these tests search
+// through: the full rule set with the size cap core derives from init.
+func engineFor(init *difftree.Node, log []*ast.Node) *eval.Engine {
+	return eval.New(eval.Config{Log: log, Rules: rules.All(), SizeCap: search.SizeCap(init)}, nil)
 }
 
 func TestGreedyImproves(t *testing.T) {
@@ -33,7 +33,7 @@ func TestGreedyImproves(t *testing.T) {
 	obj := func(d *difftree.Node) float64 {
 		return eval.SampledCost(d, log, model, 3, rng)
 	}
-	res := search.Greedy(context.Background(), init, spaceFor(init, log), obj, 30)
+	res := search.Greedy(context.Background(), init, engineFor(init, log), obj, 30)
 	if res.BestCost > obj(init) {
 		t.Errorf("greedy regressed: %f", res.BestCost)
 	}
@@ -53,7 +53,7 @@ func TestRandomFindsSomething(t *testing.T) {
 	obj := func(d *difftree.Node) float64 {
 		return eval.SampledCost(d, log, model, 2, rng)
 	}
-	res := search.Random(context.Background(), init, spaceFor(init, log), obj, 4, 6, 7)
+	res := search.Random(context.Background(), init, engineFor(init, log), obj, 4, 6, 7)
 	if math.IsInf(res.BestCost, 1) {
 		t.Error("random found nothing finite")
 	}
@@ -72,8 +72,8 @@ func TestBeamAtLeastGreedy(t *testing.T) {
 	obj := func(d *difftree.Node) float64 {
 		return eval.SampledCost(d, log, model, 0, rng)
 	}
-	g := search.Greedy(context.Background(), init, spaceFor(init, log), obj, 10)
-	b := search.Beam(context.Background(), init, spaceFor(init, log), obj, 3, 10)
+	g := search.Greedy(context.Background(), init, engineFor(init, log), obj, 10)
+	b := search.Beam(context.Background(), init, engineFor(init, log), obj, 3, 10)
 	if b.BestCost > g.BestCost+1e-9 {
 		t.Errorf("beam(3) worse than greedy: %f vs %f", b.BestCost, g.BestCost)
 	}
@@ -88,12 +88,12 @@ func TestExhaustiveTinySpace(t *testing.T) {
 	obj := func(d *difftree.Node) float64 {
 		return eval.SampledCost(d, log, model, 0, rng)
 	}
-	res, complete := search.Exhaustive(context.Background(), init, spaceFor(init, log), obj, 3000)
+	res, complete := search.Exhaustive(context.Background(), init, engineFor(init, log), obj, 3000)
 	if !complete {
 		t.Logf("space larger than cap (states=%d)", res.States)
 	}
 	// Exhaustive (even capped) must beat or match greedy.
-	g := search.Greedy(context.Background(), init, spaceFor(init, log), obj, 10)
+	g := search.Greedy(context.Background(), init, engineFor(init, log), obj, 10)
 	if complete && res.BestCost > g.BestCost+1e-9 {
 		t.Errorf("exhaustive worse than greedy: %f vs %f", res.BestCost, g.BestCost)
 	}
@@ -106,7 +106,7 @@ func TestExhaustiveCap(t *testing.T) {
 	log := workload.PaperFigure1Log()
 	init, _ := difftree.Initial(log)
 	obj := func(d *difftree.Node) float64 { return float64(d.Size()) }
-	res, complete := search.Exhaustive(context.Background(), init, spaceFor(init, log), obj, 5)
+	res, complete := search.Exhaustive(context.Background(), init, engineFor(init, log), obj, 5)
 	if complete {
 		t.Error("cap of 5 must not complete")
 	}
@@ -122,11 +122,11 @@ func TestCancelledContextReturnsBestSoFar(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for name, run := range map[string]func() search.Result{
-		"random": func() search.Result { return search.Random(ctx, init, spaceFor(init, log), obj, 100, 100, 1) },
-		"greedy": func() search.Result { return search.Greedy(ctx, init, spaceFor(init, log), obj, 100) },
-		"beam":   func() search.Result { return search.Beam(ctx, init, spaceFor(init, log), obj, 5, 100) },
+		"random": func() search.Result { return search.Random(ctx, init, engineFor(init, log), obj, 100, 100, 1) },
+		"greedy": func() search.Result { return search.Greedy(ctx, init, engineFor(init, log), obj, 100) },
+		"beam":   func() search.Result { return search.Beam(ctx, init, engineFor(init, log), obj, 5, 100) },
 		"exhaustive": func() search.Result {
-			r, complete := search.Exhaustive(ctx, init, spaceFor(init, log), obj, 1<<20)
+			r, complete := search.Exhaustive(ctx, init, engineFor(init, log), obj, 1<<20)
 			if complete {
 				t.Errorf("exhaustive: cancelled sweep must not report completeness")
 			}
@@ -151,8 +151,8 @@ func TestRandomDeterministicSeed(t *testing.T) {
 	log := workload.PaperFigure1Log()
 	init, _ := difftree.Initial(log)
 	obj := func(d *difftree.Node) float64 { return float64(d.Size()) }
-	a := search.Random(context.Background(), init, spaceFor(init, log), obj, 3, 5, 11)
-	b := search.Random(context.Background(), init, spaceFor(init, log), obj, 3, 5, 11)
+	a := search.Random(context.Background(), init, engineFor(init, log), obj, 3, 5, 11)
+	b := search.Random(context.Background(), init, engineFor(init, log), obj, 3, 5, 11)
 	if a.BestCost != b.BestCost || a.States != b.States {
 		t.Error("random search must be deterministic per seed")
 	}

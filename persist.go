@@ -1,6 +1,7 @@
 package mctsui
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/ast"
@@ -66,26 +67,19 @@ func (f *Interface) Page(title string) (string, error) {
 }
 
 // GenerateMulti splits a mixed query log into structurally coherent clusters
-// (one analysis task each) and generates one interface per cluster. Real
-// logs interleave unrelated tasks; a single interface over all of them
-// degenerates into one giant query picker, while per-cluster interfaces
+// (one analysis task each) and generates one interface per cluster under
+// ctx. Real logs interleave unrelated tasks; a single interface over all of
+// them degenerates into one giant query picker, while per-cluster interfaces
 // recover the paper's setting. Clusters appear in first-query log order.
-func GenerateMulti(queries []string, cfg Config) ([]*Interface, error) {
-	if len(queries) == 0 {
-		return nil, fmt.Errorf("mctsui: empty query log")
+func (g *Generator) GenerateMulti(ctx context.Context, queries []string) ([]*Interface, error) {
+	log, err := parseLog(queries)
+	if err != nil {
+		return nil, err
 	}
-	log := make([]*ast.Node, len(queries))
-	for i, q := range queries {
-		n, err := sqlparser.Parse(q)
-		if err != nil {
-			return nil, fmt.Errorf("mctsui: query %d: %w", i+1, err)
-		}
-		log[i] = n
-	}
-	clusters := cluster.Split(log, cluster.Options{})
+	clusters := cluster.Split(log)
 	out := make([]*Interface, 0, len(clusters))
 	for _, c := range clusters {
-		iface, err := GenerateFromASTs(c.Queries, cfg)
+		iface, err := g.GenerateFromASTs(ctx, c.Queries)
 		if err != nil {
 			return nil, err
 		}
