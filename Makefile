@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify build vet fmt test test-fast bench bench-allocs bench-json bench-serving bench-serving-fleet fleet load-smoke race-tree golden fuzz-smoke serve join-scenarios staticcheck mctsvet lint govulncheck perfbench-check
+.PHONY: verify build vet fmt test test-fast bench bench-json bench-serving bench-serving-fleet fleet load-smoke race-tree golden fuzz-smoke serve join-scenarios staticcheck mctsvet lint govulncheck perfbench-check
 
 # verify is the tier-1 gate: build, formatting, static analysis (go vet +
 # the custom mctsvet suite), the full test suite, and perfbench-check — the
@@ -31,18 +31,12 @@ test:
 test-fast:
 	$(GO) test -skip TestSoakEvictionDeterminism ./...
 
-# bench runs the benchmark suite once (includes BenchmarkGenerateWorkers,
-# the root-parallelization scaling check).
+# bench runs the root package's benchmarks once: BenchmarkGenerateWorkers
+# (root-parallelization scaling) and the hot-path micro-benchmarks. The
+# paper's figures and sweeps run from `go run ./cmd/experiments -run <id>`;
+# search speed and allocations per cache mode come from bench-json.
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
-
-# bench-allocs measures allocations on the search hot path: one sequential
-# MCTS Generate over the SDSS log in each cache mode (uncached / cold /
-# warm), with allocs/op and B/op from -benchmem. CI runs the same command
-# and archives the output next to BENCH_search.json's allocs_per_iter
-# section.
-bench-allocs:
-	$(GO) test -run '^$$' -bench 'BenchmarkGenerate$$' -benchmem .
 
 # bench-json regenerates BENCH_search.json: iterations/sec with the
 # transposition cache cold, warm, and disabled — one section per workload
@@ -60,7 +54,7 @@ bench-allocs:
 # worsens the best cost. Pass COMPARE=old.json to print per-metric deltas
 # (including allocs/iter) before the gates.
 bench-json:
-	$(GO) run ./cmd/searchbench -out BENCH_search.json -max-allocs-per-iter 300000 $(if $(COMPARE),-compare $(COMPARE))
+	$(GO) run ./cmd/searchbench -out BENCH_search.json $(if $(COMPARE),-compare $(COMPARE))
 
 # bench-serving regenerates BENCH_serving.json: the open-loop load harness
 # (cmd/mctsload) drives an in-process daemon with the built-in two-class
@@ -117,7 +111,8 @@ fuzz-smoke:
 
 # join-scenarios mirrors the CI acceptance step for the multi-table grammar:
 # end-to-end join/union/subquery generation, golden fixtures, and a
-# searchbench run on the sdss-join workload.
+# searchbench run on the sdss-join workload (warm-speedup and tree gates
+# off; the equivalence, cold-speedup, allocation and snapshot gates hold).
 join-scenarios:
 	$(GO) test -race -count=1 -run 'TestJoinScenario|TestGoldenFixtures' .
 	$(GO) test -count=1 -run 'Join|MultiTable|Union|Subquery|Structural' \

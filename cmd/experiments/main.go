@@ -1,17 +1,16 @@
 // Command experiments regenerates the paper's figures and claims and prints
-// plain-text reports, one per experiment id (the index experiments.Named
-// resolves, listed below).
+// plain-text reports, one per experiment id (the rows of experiments.Index;
+// -h lists them).
 //
 // Usage:
 //
-//	experiments [-run all|fig6a|fig6b|fig6c|fig6d|fig6e|space|budget|
-//	             baseline|strategies|ablation-c|ablation-rollout|scaling]
-//	            [-iters n] [-rollout n] [-seed n] [-timeout d]
+//	experiments [-run all|<id>[,<id>...]] [-iters n] [-rollout n] [-seed n] [-timeout d]
 //
 // The search settings default to experiments.Default().
 //
 // Experiments honor Ctrl-C (and -timeout): the run stops promptly and the
-// reports produced so far are kept.
+// reports produced so far are kept. An experiment that fails prints its
+// report so far, and the command exits non-zero with the error.
 package main
 
 import (
@@ -27,7 +26,11 @@ import (
 )
 
 func main() {
-	run := flag.String("run", "all", "experiment id (fig6a..fig6e, space, budget, baseline, strategies, ablation-c, ablation-rollout, scaling, all) or comma-separated list")
+	ids := make([]string, 0, len(experiments.Index)+1)
+	for _, e := range experiments.Index {
+		ids = append(ids, e.ID)
+	}
+	run := flag.String("run", "all", "experiment id ("+strings.Join(append(ids, "all"), ", ")+") or comma-separated list")
 	cfg := experiments.Default()
 	flag.IntVar(&cfg.Iterations, "iters", cfg.Iterations, "search iterations per generated interface")
 	flag.IntVar(&cfg.RolloutDepth, "rollout", cfg.RolloutDepth, "rollout depth during search")
@@ -51,8 +54,13 @@ func main() {
 			fmt.Fprintf(os.Stderr, "experiments: unknown experiment %q\n", name)
 			os.Exit(2)
 		}
-		fmt.Print(f(ctx, cfg))
+		report, err := f(ctx, cfg)
+		fmt.Print(report)
 		fmt.Println()
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", name, err)
+			os.Exit(1)
+		}
 		if ctx.Err() != nil {
 			fmt.Fprintln(os.Stderr, "experiments: run cancelled; partial reports above")
 			break

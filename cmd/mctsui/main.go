@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	mctsui [-log queries.sql | -workload sdss|sdss-join|sdss-join-block|figure1]
+//	mctsui [-log queries.sql | -workload sdss|sdss-subset|sdss-join|sdss-join-block|figure1]
 //	       [-width 1200 -height 800] [-iters 60 | -budget 60s]
 //	       [-seed 1] [-strategy mcts|beam[:W]|greedy|random[:N]|exhaustive[:M]]
 //	       [-workers N] [-tree-workers N] [-progress]
@@ -24,13 +24,12 @@ import (
 	"time"
 
 	mctsui "repro"
-	"repro/internal/sqlparser"
 	"repro/internal/workload"
 )
 
 func main() {
 	logPath := flag.String("log", "", "query log file (default: the -workload log)")
-	workloadName := flag.String("workload", "sdss", "built-in log when no -log is given: sdss | sdss-join | sdss-join-block | figure1")
+	workloadName := flag.String("workload", "sdss", "built-in log when no -log is given: "+strings.Join(workload.Names(), " | "))
 	width := flag.Int("width", 1200, "screen width in layout units")
 	height := flag.Int("height", 800, "screen height in layout units")
 	iters := flag.Int("iters", mctsui.DefaultIterations, "search iterations (ignored when -budget is set)")
@@ -47,19 +46,9 @@ func main() {
 
 	var queries []string
 	if *logPath == "" {
-		switch *workloadName {
-		case "sdss":
-			queries = workload.SDSSLogSQL()
-		case "sdss-join":
-			queries = workload.SDSSJoinLogSQL()
-		case "sdss-join-block":
-			queries = workload.SDSSJoinLogSQL()[:6]
-		case "figure1":
-			for _, q := range workload.PaperFigure1Log() {
-				queries = append(queries, sqlparser.Render(q))
-			}
-		default:
-			fatal(fmt.Errorf("unknown workload %q", *workloadName))
+		var err error
+		if queries, err = workload.Named(*workloadName); err != nil {
+			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "mctsui: no -log given; using the built-in %s log\n", *workloadName)
 	} else {

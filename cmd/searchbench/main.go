@@ -10,23 +10,28 @@
 //   - cached_warm: the same shared cache, subsequent searches (steady
 //     state — the serving scenario WithCache exists for)
 //
+// Every mode runs MCTS for 15 iterations at rollout depth 8 and seed 1, and
+// is timed fastest-of-3.
+//
 // State evaluation is deterministic per state, so all three modes must
 // return the identical best cost; searchbench fails if they do not. The
 // -min-speedup gate (default 3) applies to the warm/uncached ratio of every
 // workload and makes `make bench-json` fail loudly if the cache stops
-// paying for itself.
+// paying for itself. The fixed gates: a cold first search is never slower
+// than uncached (>= 1x), a warm run allocates at most 300k per iteration,
+// and restart-from-snapshot reaches 3x over cold with an unchanged result.
 //
 // A fourth mode measures tree-parallel MCTS (-tree-workers goroutines on
 // one shared tree, virtual-loss diversified) against the sequential
 // cold-cache reference; it runs on the first listed workload only (it is
-// the wall-clock-dominant section). The -min-tree-speedup gate (default 2)
-// and its equal-or-better best-cost companion are enforced only when the
-// machine has at least -tree-workers CPUs — a 1-CPU container records its
-// numbers without failing the build.
+// the wall-clock-dominant section). Its >= 2x gate and the equal-or-better
+// best-cost companion are enforced only when the machine has at least
+// -tree-workers CPUs — a 1-CPU container records its numbers without
+// failing the build.
 //
 // -compare old.json prints per-metric deltas against a previous report
-// (either format generation) before any gate is enforced, so a CI failure
-// arrives with a readable diff of what moved:
+// before any gate is enforced, so a CI failure arrives with a readable diff
+// of what moved:
 //
 //	go run ./cmd/searchbench -out BENCH_search.json -compare prev/BENCH_search.json
 package main
@@ -48,7 +53,21 @@ import (
 	"repro/internal/benchutil"
 	"repro/internal/core"
 	"repro/internal/eval"
+	"repro/internal/sqlparser"
 	"repro/internal/workload"
+)
+
+// The search every mode runs, and the fixed gates.
+const (
+	strategyName       = "mcts"
+	iterations         = 15
+	rolloutDepth       = 8
+	seed               = 1
+	repeats            = 3      // timed repetitions per mode (fastest wins)
+	minColdSpeedup     = 1.0    // the cache must never slow a first search down
+	maxAllocsPerIter   = 300000 // warm-cache allocations per iteration
+	minTreeSpeedup     = 2.0    // enforced only when NumCPU >= -tree-workers
+	minSnapshotSpeedup = 3.0    // restart-from-snapshot vs cold
 )
 
 type modeResult struct {
@@ -128,55 +147,34 @@ type fileReport struct {
 	GeneratedAt string                    `json:"generated_at"`
 }
 
-// legacyReport is the pre-multi-workload single-section file shape, still
-// accepted by -compare.
-type legacyReport struct {
-	Workload  string                    `json:"workload"`
-	Workloads map[string]workloadReport `json:"workloads"`
-}
-
+// logFor parses a built-in workload's query log.
 func logFor(name string) ([]*ast.Node, error) {
-	switch name {
-	case "sdss":
-		return workload.SDSSLog(), nil
-	case "sdss-subset":
-		return workload.SDSSSubset(6, 8), nil
-	case "sdss-join":
-		return workload.SDSSJoinLog(), nil
-	case "sdss-join-block":
-		return workload.SDSSJoinSubset(1, 6), nil
-	case "figure1":
-		return workload.PaperFigure1Log(), nil
+	queries, err := workload.Named(name)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("unknown workload %q", name)
+	log := make([]*ast.Node, len(queries))
+	for i, q := range queries {
+		if log[i], err = sqlparser.Parse(q); err != nil {
+			return nil, err
+		}
+	}
+	return log, nil
 }
 
 func main() {
 	out := flag.String("out", "BENCH_search.json", "output file ('-' for stdout)")
-	workloads := flag.String("workload", "sdss,sdss-join", "comma-separated query logs: sdss | sdss-subset | sdss-join | sdss-join-block | figure1")
-	strategySpec := flag.String("strategy", "mcts", "search strategy (see -h of cmd/mctsui)")
-	iterations := flag.Int("iterations", 15, "search iteration budget per run")
-	rollout := flag.Int("rollout", 8, "rollout depth")
-	seed := flag.Int64("seed", 1, "deterministic seed")
-	repeats := flag.Int("repeats", 3, "timed repetitions per mode (fastest wins)")
+	workloads := flag.String("workload", "sdss,sdss-join", "comma-separated query logs: "+strings.Join(workload.Names(), " | "))
 	minSpeedup := flag.Float64("min-speedup", 3, "fail unless warm-cache/uncached iters-per-sec reaches this on every workload (0 disables)")
-	minColdSpeedup := flag.Float64("min-cold-speedup", 1.0, "fail unless cold-cache/uncached iters-per-sec reaches this on every workload (0 disables) — the cache must never slow a first search down")
-	maxAllocsPerIter := flag.Float64("max-allocs-per-iter", 0, "fail if any warm-cache run allocates more than this per iteration (0 disables)")
 	treeWorkers := flag.Int("tree-workers", 4, "tree-parallel worker count for the first workload's tree_parallel section (0 disables the section)")
-	minTreeSpeedup := flag.Float64("min-tree-speedup", 2, "fail unless tree-parallel/sequential iters-per-sec reaches this — enforced only when NumCPU >= tree-workers (0 disables)")
-	minSnapshotSpeedup := flag.Float64("min-snapshot-speedup", 3, "fail unless restart-from-snapshot/cold iters-per-sec reaches this on every workload (0 disables)")
 	comparePath := flag.String("compare", "", "previous BENCH_search.json to diff against (per-metric deltas printed before gates)")
 	flag.Parse()
-
-	strategy, err := core.StrategyByName(*strategySpec)
-	if err != nil {
-		fatalf("%v", err)
-	}
 
 	names := strings.Split(*workloads, ",")
 	file := fileReport{Workloads: make(map[string]workloadReport, len(names))}
 	var order []string
-	for i, name := range names {
+	tree := *treeWorkers // the first workload only
+	for _, name := range names {
 		name = strings.TrimSpace(name)
 		if name == "" {
 			continue
@@ -185,8 +183,8 @@ func main() {
 		if err != nil {
 			fatalf("%v", err)
 		}
-		rep := benchWorkload(name, log, strategy, *strategySpec, *iterations, *rollout, *seed, *repeats,
-			i == 0, *treeWorkers, *minTreeSpeedup)
+		rep := benchWorkload(name, log, tree)
+		tree = 0
 		file.Workloads[name] = rep
 		order = append(order, name)
 	}
@@ -232,47 +230,43 @@ func main() {
 		if *minSpeedup > 0 && rep.SpeedupWarm < *minSpeedup {
 			fatalf("%s: warm speedup %.2fx below the %.1fx gate", name, rep.SpeedupWarm, *minSpeedup)
 		}
-		if *minColdSpeedup > 0 && rep.SpeedupCold < *minColdSpeedup {
+		if rep.SpeedupCold < minColdSpeedup {
 			fatalf("%s: cold speedup %.2fx below the %.1fx gate — the cache slows a first search down",
-				name, rep.SpeedupCold, *minColdSpeedup)
+				name, rep.SpeedupCold, minColdSpeedup)
 		}
-		if *maxAllocsPerIter > 0 && rep.CachedWarm.AllocsPerIter > *maxAllocsPerIter {
-			fatalf("%s: %.0f allocs per iteration warm-cached, above the %.0f gate",
-				name, rep.CachedWarm.AllocsPerIter, *maxAllocsPerIter)
+		if rep.CachedWarm.AllocsPerIter > maxAllocsPerIter {
+			fatalf("%s: %.0f allocs per iteration warm-cached, above the %d gate",
+				name, rep.CachedWarm.AllocsPerIter, maxAllocsPerIter)
 		}
 		if snap := rep.Snapshot; snap != nil {
 			if !snap.EqualBestCost {
 				fatalf("%s: restart-from-snapshot best cost %v != cold %v — a snapshot changed a result",
 					name, snap.Restored.BestCost, rep.CachedCold.BestCost)
 			}
-			if *minSnapshotSpeedup > 0 && snap.Speedup < *minSnapshotSpeedup {
+			if snap.Speedup < minSnapshotSpeedup {
 				fatalf("%s: restart-from-snapshot speedup %.2fx below the %.1fx gate",
-					name, snap.Speedup, *minSnapshotSpeedup)
+					name, snap.Speedup, minSnapshotSpeedup)
 			}
 		}
 		if tree := rep.TreeParallel; tree != nil && tree.GateEnforced {
 			if !tree.CostNoWorse {
 				fatalf("%s: tree-parallel best cost %v worse than sequential %v", name, tree.Parallel.BestCost, tree.Sequential.BestCost)
 			}
-			if tree.Speedup < *minTreeSpeedup {
+			if tree.Speedup < minTreeSpeedup {
 				fatalf("%s: tree-parallel speedup %.2fx at %d workers below the %.1fx gate",
-					name, tree.Speedup, tree.Workers, *minTreeSpeedup)
+					name, tree.Speedup, tree.Workers, minTreeSpeedup)
 			}
 		}
 	}
 }
 
-// benchWorkload times the three cache modes (and, for the first workload,
-// the tree-parallel section) on one query log.
-func benchWorkload(name string, log []*ast.Node, strategy core.Strategy, strategySpec string,
-	iterations, rollout int, seed int64, repeats int,
-	withTree bool, treeWorkers int, minTreeSpeedup float64) workloadReport {
-
+// benchWorkload times the three cache modes and the snapshot restore on one
+// query log, plus the tree-parallel section when treeWorkers > 1.
+func benchWorkload(name string, log []*ast.Node, treeWorkers int) workloadReport {
 	base := core.Options{
 		Iterations:   iterations,
-		RolloutDepth: rollout,
+		RolloutDepth: rolloutDepth,
 		Seed:         seed,
-		Strategy:     strategy,
 	}
 
 	once := func(opt core.Options) modeResult {
@@ -368,9 +362,9 @@ func benchWorkload(name string, log []*ast.Node, strategy core.Strategy, strateg
 
 	rep := workloadReport{
 		Workload:      name,
-		Strategy:      strategySpec,
+		Strategy:      strategyName,
 		Iterations:    iterations,
-		RolloutDepth:  rollout,
+		RolloutDepth:  rolloutDepth,
 		Seed:          seed,
 		Repeats:       repeats,
 		Uncached:      uncached,
@@ -395,7 +389,7 @@ func benchWorkload(name string, log []*ast.Node, strategy core.Strategy, strateg
 	// non-deterministic) search: the fastest elapsed time measures speed and
 	// the best cost across repetitions measures quality, mirroring how a
 	// caller under a wall-clock budget would actually use the knob.
-	if withTree && treeWorkers > 1 {
+	if treeWorkers > 1 {
 		coldFastest := func(opt core.Options, n int) modeResult {
 			best := modeResult{ElapsedMS: -1}
 			minCost := math.Inf(1)
@@ -423,7 +417,7 @@ func benchWorkload(name string, log []*ast.Node, strategy core.Strategy, strateg
 			Sequential:   coldFastest(base, treeRepeats),
 			Parallel:     coldFastest(treeOpt, treeRepeats),
 			CPUs:         cpus,
-			GateEnforced: minTreeSpeedup > 0 && qualified,
+			GateEnforced: qualified,
 		}
 		tree.Speedup = tree.Parallel.ItersPerSec / tree.Sequential.ItersPerSec
 		tree.CostNoWorse = tree.Parallel.BestCost <= tree.Sequential.BestCost+1e-9
@@ -433,28 +427,22 @@ func benchWorkload(name string, log []*ast.Node, strategy core.Strategy, strateg
 }
 
 // printComparison diffs the fresh report against a previous file, printing
-// one line per workload metric that is present on both sides. Both the
-// multi-workload format and the legacy single-section format are accepted.
+// one line per workload metric that is present on both sides.
 func printComparison(path string, fresh fileReport) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		fmt.Printf("compare: cannot read %s (%v); skipping diff\n", path, err)
 		return
 	}
-	var old legacyReport
+	var old fileReport
 	if err := json.Unmarshal(data, &old); err != nil {
 		fmt.Printf("compare: cannot parse %s (%v); skipping diff\n", path, err)
 		return
 	}
 	prev := old.Workloads
 	if prev == nil {
-		// Legacy single-section file: the whole object is one workload.
-		var single workloadReport
-		if err := json.Unmarshal(data, &single); err != nil || single.Workload == "" {
-			fmt.Printf("compare: %s has no workloads section; skipping diff\n", path)
-			return
-		}
-		prev = map[string]workloadReport{single.Workload: single}
+		fmt.Printf("compare: %s has no workloads section; skipping diff\n", path)
+		return
 	}
 
 	names := make([]string, 0, len(fresh.Workloads))

@@ -447,12 +447,6 @@ func (d *domain) Reward(s mcts.State) float64 {
 	return 1.0 / (1.0 + c/d.scale)
 }
 
-// Fanout counts the legal moves of a difftree (the paper reports fanouts up
-// to ~50 on the SDSS log).
-func Fanout(d *difftree.Node, log []*ast.Node, set []rules.Rule) int {
-	return len(rules.Moves(d, log, set))
-}
-
 // RandomWalk performs n random legal moves from the initial state and
 // returns the resulting difftree; used to produce the paper's Figure 6(d)
 // "low reward interface" without search.

@@ -10,7 +10,6 @@ import (
 	"repro/internal/difftree"
 	"repro/internal/eval"
 	"repro/internal/layout"
-	"repro/internal/rules"
 	"repro/internal/workload"
 )
 
@@ -170,9 +169,13 @@ func TestBestInterfaceExhaustiveVsSampled(t *testing.T) {
 }
 
 func TestFanoutSDSS(t *testing.T) {
-	log := workload.SDSSLog()
-	init, _ := difftree.Initial(log)
-	fan := Fanout(init, log, rules.All())
+	opt := fastOpts(layout.Wide)
+	opt.Iterations = 1
+	res, err := Generate(context.Background(), workload.SDSSLog(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fan := res.Stats.InitialFan
 	if fan < 10 {
 		t.Errorf("SDSS initial fanout = %d, expected >= 10", fan)
 	}

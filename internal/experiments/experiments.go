@@ -1,6 +1,7 @@
 // Package experiments regenerates every figure and claim of the paper's
-// evaluation. Each experiment has an id in the index Named resolves and
-// returns a plain-text report; cmd/experiments prints them.
+// evaluation. Each experiment is a row of Index: an id and a runner that
+// returns a plain-text report, or the report so far and the error that
+// stopped it. cmd/experiments prints them.
 package experiments
 
 import (
@@ -17,8 +18,10 @@ import (
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/difftree"
+	"repro/internal/eval"
 	"repro/internal/layout"
 	"repro/internal/rules"
+	"repro/internal/search"
 	"repro/internal/widgets"
 	"repro/internal/workload"
 )
@@ -42,37 +45,47 @@ func (c Config) opts(screen layout.Screen) core.Options {
 	}
 }
 
-// Fig6a generates the all-queries interface on the wide screen.
-func Fig6a(ctx context.Context, cfg Config) string {
-	return figure(ctx, cfg, "Figure 6(a): all SDSS queries, wide screen", workload.SDSSLog(), layout.Wide)
+// Experiment is one row of the index.
+type Experiment struct {
+	ID  string
+	Run func(context.Context, Config) (string, error)
 }
 
-// Fig6b generates the all-queries interface on the narrow screen.
-func Fig6b(ctx context.Context, cfg Config) string {
-	return figure(ctx, cfg, "Figure 6(b): all SDSS queries, narrow screen", workload.SDSSLog(), layout.Narrow)
+// Index lists every experiment in run order. Named, All and the ids
+// cmd/experiments accepts derive from it.
+var Index = []Experiment{
+	{"fig6a", figure("Figure 6(a): all SDSS queries, wide screen", workload.SDSSLog(), layout.Wide)},
+	{"fig6b", figure("Figure 6(b): all SDSS queries, narrow screen", workload.SDSSLog(), layout.Narrow)},
+	{"fig6c", figure("Figure 6(c): SDSS queries 6-8, wide screen", workload.SDSSSubset(6, 8), layout.Wide)},
+	{"fig6d", Fig6d},
+	{"fig6e", Fig6e},
+	{"space", SearchSpace},
+	{"budget", BudgetSweep},
+	{"baseline", BaselineCompare},
+	{"strategies", Strategies},
+	{"ablation-c", AblationC},
+	{"ablation-rollout", AblationRollout},
+	{"scaling", Scaling},
 }
 
-// Fig6c generates the interface for SDSS queries 6-8 only.
-func Fig6c(ctx context.Context, cfg Config) string {
-	return figure(ctx, cfg, "Figure 6(c): SDSS queries 6-8, wide screen", workload.SDSSSubset(6, 8), layout.Wide)
-}
-
-func figure(ctx context.Context, cfg Config, title string, log []*ast.Node, screen layout.Screen) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "== %s ==\n", title)
-	res, err := core.Generate(ctx, log, cfg.opts(screen))
-	if err != nil {
-		fmt.Fprintf(&b, "error: %v\n", err)
-		return b.String()
+// figure generates one Figure 6 interface for log on screen.
+func figure(title string, log []*ast.Node, screen layout.Screen) func(context.Context, Config) (string, error) {
+	return func(ctx context.Context, cfg Config) (string, error) {
+		var b strings.Builder
+		fmt.Fprintf(&b, "== %s ==\n", title)
+		res, err := core.Generate(ctx, log, cfg.opts(screen))
+		if err != nil {
+			return b.String(), err
+		}
+		b.WriteString(layout.RenderASCII(res.UI))
+		fmt.Fprintf(&b, "cost=%.2f (M=%.2f U=%.2f) widgets=%d bounds=%dx%d screen=%s\n",
+			res.Cost.Total(), res.Cost.M, res.Cost.U, res.Cost.Widgets,
+			res.Cost.Bounds.W, res.Cost.Bounds.H, screen)
+		fmt.Fprintf(&b, "initial-state cost=%.2f  improvement=%.1f%%\n",
+			res.Initial.Total(), 100*(1-res.Cost.Total()/res.Initial.Total()))
+		fmt.Fprintf(&b, "widget mix: %s\n", widgetMix(res.UI))
+		return b.String(), nil
 	}
-	b.WriteString(layout.RenderASCII(res.UI))
-	fmt.Fprintf(&b, "cost=%.2f (M=%.2f U=%.2f) widgets=%d bounds=%dx%d screen=%s\n",
-		res.Cost.Total(), res.Cost.M, res.Cost.U, res.Cost.Widgets,
-		res.Cost.Bounds.W, res.Cost.Bounds.H, screen)
-	fmt.Fprintf(&b, "initial-state cost=%.2f  improvement=%.1f%%\n",
-		res.Initial.Total(), 100*(1-res.Cost.Total()/res.Initial.Total()))
-	fmt.Fprintf(&b, "widget mix: %s\n", widgetMix(res.UI))
-	return b.String()
 }
 
 func widgetMix(ui *layout.Node) string {
@@ -98,7 +111,7 @@ func widgetMix(ui *layout.Node) string {
 // Fig6d contrasts searched interfaces with unsearched random-walk states
 // (the paper's "low reward interface ... poor interface choices are easily
 // possible").
-func Fig6d(ctx context.Context, cfg Config) string {
+func Fig6d(ctx context.Context, cfg Config) (string, error) {
 	var b strings.Builder
 	b.WriteString("== Figure 6(d): low-reward (unsearched) interfaces ==\n")
 	log := workload.SDSSLog()
@@ -106,16 +119,17 @@ func Fig6d(ctx context.Context, cfg Config) string {
 
 	res, err := core.Generate(ctx, log, cfg.opts(layout.Wide))
 	if err != nil {
-		return err.Error()
+		return b.String(), err
 	}
 	fmt.Fprintf(&b, "searched (MCTS %d iters): cost=%.2f\n", cfg.Iterations, res.Cost.Total())
 
 	for _, steps := range []int{2, 5, 10} {
-		worst, sum, n := 0.0, 0.0, 0
-		for seed := int64(0); seed < 5; seed++ {
+		const seeds = 5
+		worst, sum := 0.0, 0.0
+		for seed := int64(0); seed < seeds; seed++ {
 			d, err := core.RandomWalk(log, steps, cfg.Seed+seed*17)
 			if err != nil {
-				continue
+				return b.String(), err
 			}
 			_, bd, _ := core.BestInterface(d, log, model, 2000, cfg.Seed)
 			c := bd.Total()
@@ -126,18 +140,17 @@ func Fig6d(ctx context.Context, cfg Config) string {
 				worst = c
 			}
 			sum += c
-			n++
 		}
-		fmt.Fprintf(&b, "random walk %2d steps (5 seeds): mean cost=%.2f worst=%.2f\n",
-			steps, sum/float64(n), worst)
+		fmt.Fprintf(&b, "random walk %2d steps (%d seeds): mean cost=%.2f worst=%.2f\n",
+			steps, seeds, sum/seeds, worst)
 	}
-	return b.String()
+	return b.String(), nil
 }
 
 // Fig6e scores a hand-coded replica of the original SDSS search form (all
 // textboxes and radio buttons in a flat column, as in the paper's Figure
 // 6(e)) under the same cost model, for reference.
-func Fig6e(ctx context.Context, cfg Config) string {
+func Fig6e(ctx context.Context, cfg Config) (string, error) {
 	var b strings.Builder
 	b.WriteString("== Figure 6(e): original SDSS form (hand-coded reference) ==\n")
 	log := workload.SDSSLog()
@@ -145,7 +158,7 @@ func Fig6e(ctx context.Context, cfg Config) string {
 
 	base, err := baseline.Build(log, model)
 	if err != nil {
-		return err.Error()
+		return b.String(), err
 	}
 	// Rebuild the baseline's flat UI with the SDSS form's widget choices:
 	// textboxes for every scalar, radio buttons for categorical slots.
@@ -173,31 +186,33 @@ func Fig6e(ctx context.Context, cfg Config) string {
 
 	res, err := core.Generate(ctx, log, cfg.opts(layout.Wide))
 	if err != nil {
-		return err.Error()
+		return b.String(), err
 	}
 	fmt.Fprintf(&b, "SDSS-form-style (textboxes+radios, flat): cost=%.2f (M=%.2f U=%.2f) widgets=%d\n",
 		bd.Total(), bd.M, bd.U, bd.Widgets)
 	fmt.Fprintf(&b, "generated (MCTS):                        cost=%.2f (M=%.2f U=%.2f) widgets=%d\n",
 		res.Cost.Total(), res.Cost.M, res.Cost.U, res.Cost.Widgets)
-	return b.String()
+	return b.String(), nil
 }
 
 // SearchSpace measures the paper's search-space characterization: "The
 // fanout is as high as 50, and a search path can be as long as 100 steps."
-func SearchSpace(ctx context.Context, cfg Config) string {
+func SearchSpace(ctx context.Context, cfg Config) (string, error) {
 	var b strings.Builder
 	b.WriteString("== Search space (paper: fanout up to ~50, paths up to ~100 steps) ==\n")
 	log := workload.SDSSLog()
-	init, _ := difftree.Initial(log)
-
-	fan := core.Fanout(init, log, rules.All())
+	init, err := difftree.Initial(log)
+	if err != nil {
+		return b.String(), err
+	}
+	// Walk randomly over the moves the search sees (legal and within its
+	// state-size cap), recording fanout along the way and how long legal
+	// paths can get.
+	eng := eval.New(eval.Config{Log: log, Rules: rules.All(), SizeCap: search.SizeCap(init)}, nil)
+	fan := len(eng.Moves(init))
 	fmt.Fprintf(&b, "initial state: fanout=%d choices=%d size=%d\n",
 		fan, init.CountChoice(), init.Size())
 
-	// Walk randomly, recording fanout along the way and how long legal
-	// paths can get. Moves that balloon the tree past 4x the initial size
-	// are skipped, matching the search's pruning.
-	sizeCap := 4 * init.Size()
 	maxFan, pathLen := fan, 0
 	d := init
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -206,17 +221,8 @@ func SearchSpace(ctx context.Context, cfg Config) string {
 			fmt.Fprintf(&b, "(cancelled after %d steps)\n", step)
 			break
 		}
-		moves := rules.Moves(d, log, rules.All())
-		if len(moves) > maxFan {
-			maxFan = len(moves)
-		}
-		var candidates []*difftree.Node
-		for _, m := range moves {
-			next, err := rules.ApplyMove(d, m)
-			if err == nil && next.Size() <= sizeCap {
-				candidates = append(candidates, next)
-			}
-		}
+		candidates := eng.Neighbors(d)
+		maxFan = max(maxFan, len(candidates))
 		if len(candidates) == 0 {
 			break
 		}
@@ -224,13 +230,13 @@ func SearchSpace(ctx context.Context, cfg Config) string {
 		pathLen++
 	}
 	fmt.Fprintf(&b, "random path: length>=%d (cap 100, states capped at 4x initial size), max fanout seen=%d\n", pathLen, maxFan)
-	return b.String()
+	return b.String(), nil
 }
 
 // BudgetSweep traces interface cost against the search budget (the paper
 // runs MCTS "for around 1 minute"; we report cost vs iterations and the
 // wall-clock each took).
-func BudgetSweep(ctx context.Context, cfg Config) string {
+func BudgetSweep(ctx context.Context, cfg Config) (string, error) {
 	var b strings.Builder
 	b.WriteString("== Cost vs search budget (MCTS) ==\n")
 	log := workload.SDSSLog()
@@ -241,18 +247,17 @@ func BudgetSweep(ctx context.Context, cfg Config) string {
 		start := time.Now()
 		res, err := core.Generate(ctx, log, o)
 		if err != nil {
-			fmt.Fprintf(&b, "%-12d error: %v\n", iters, err)
-			continue
+			return b.String(), fmt.Errorf("%d iterations: %w", iters, err)
 		}
 		fmt.Fprintf(&b, "%-12d %-10.2f %-10.3f %-12v\n",
 			iters, res.Cost.Total(), res.Stats.BestReward, time.Since(start).Round(time.Millisecond))
 	}
-	return b.String()
+	return b.String(), nil
 }
 
 // BaselineCompare scores the 2017 bottom-up baseline against MCTS on the
 // paper's logs.
-func BaselineCompare(ctx context.Context, cfg Config) string {
+func BaselineCompare(ctx context.Context, cfg Config) (string, error) {
 	var b strings.Builder
 	b.WriteString("== Prior work (Zhang et al. 2017 bottom-up) vs MCTS ==\n")
 	cases := []struct {
@@ -270,27 +275,25 @@ func BaselineCompare(ctx context.Context, cfg Config) string {
 	fmt.Fprintf(&b, "%-24s %-22s %-22s\n", "log", "baseline cost (widgets)", "mcts cost (widgets)")
 	for _, c := range cases {
 		base, err := baseline.Build(c.log, model)
-		baseCost, baseW := math.Inf(1), 0
-		if err == nil {
-			baseCost, baseW = base.Cost.Total(), base.UI.CountWidgets()
+		if err != nil {
+			return b.String(), fmt.Errorf("%s: baseline: %w", c.name, err)
 		}
 		res, err := core.Generate(ctx, c.log, cfg.opts(layout.Wide))
-		mctsCost, mctsW := math.Inf(1), 0
-		if err == nil {
-			mctsCost, mctsW = res.Cost.Total(), res.Cost.Widgets
+		if err != nil {
+			return b.String(), fmt.Errorf("%s: mcts: %w", c.name, err)
 		}
 		fmt.Fprintf(&b, "%-24s %-22s %-22s\n", c.name,
-			fmt.Sprintf("%.2f (%d)", baseCost, baseW),
-			fmt.Sprintf("%.2f (%d)", mctsCost, mctsW))
+			fmt.Sprintf("%.2f (%d)", base.Cost.Total(), base.UI.CountWidgets()),
+			fmt.Sprintf("%.2f (%d)", res.Cost.Total(), res.Cost.Widgets))
 	}
-	return b.String()
+	return b.String(), nil
 }
 
 // Strategies compares MCTS against random walks, greedy hill climbing, beam
 // search, and (on a tiny input) exhaustive enumeration. Every strategy runs
 // through the same core.Strategy plumbing the public API exposes, so this
 // is also an end-to-end exercise of WithStrategy.
-func Strategies(ctx context.Context, cfg Config) string {
+func Strategies(ctx context.Context, cfg Config) (string, error) {
 	var b strings.Builder
 	b.WriteString("== Search strategies (same cost model and rule set) ==\n")
 	log := workload.SDSSLog()
@@ -305,8 +308,7 @@ func Strategies(ctx context.Context, cfg Config) string {
 		o.Strategy = s
 		res, err := core.Generate(ctx, log, o)
 		if err != nil {
-			fmt.Fprintf(&b, "%-12s error: %v\n", s.Name(), err)
-			continue
+			return b.String(), fmt.Errorf("%s: %w", s.Name(), err)
 		}
 		fmt.Fprintf(&b, "%-12s cost=%-8.2f evals=%d\n", s.Name(), res.Cost.Total(), res.Stats.Evals)
 	}
@@ -318,17 +320,19 @@ func Strategies(ctx context.Context, cfg Config) string {
 	exOpts.RewardSamples = 1
 	ex, err := core.Generate(ctx, tiny, exOpts)
 	if err != nil {
-		fmt.Fprintf(&b, "tiny log (2 queries): error: %v\n", err)
-		return b.String()
+		return b.String(), fmt.Errorf("tiny log: exhaustive: %w", err)
 	}
-	tinyRes, _ := core.Generate(ctx, tiny, cfg.opts(layout.Wide))
+	tinyRes, err := core.Generate(ctx, tiny, cfg.opts(layout.Wide))
+	if err != nil {
+		return b.String(), fmt.Errorf("tiny log: mcts: %w", err)
+	}
 	fmt.Fprintf(&b, "tiny log (2 queries): exhaustive=%.2f (complete=%v, states=%d)  mcts=%.2f\n",
 		ex.Cost.Total(), ex.Stats.SpaceExhausted, ex.Stats.Expanded, tinyRes.Cost.Total())
-	return b.String()
+	return b.String(), nil
 }
 
 // AblationC sweeps the UCT exploration constant.
-func AblationC(ctx context.Context, cfg Config) string {
+func AblationC(ctx context.Context, cfg Config) (string, error) {
 	var b strings.Builder
 	b.WriteString("== Ablation: UCT exploration constant c ==\n")
 	log := workload.SDSSLog()
@@ -338,15 +342,15 @@ func AblationC(ctx context.Context, cfg Config) string {
 		o.ExplorationC = c
 		res, err := core.Generate(ctx, log, o)
 		if err != nil {
-			continue
+			return b.String(), fmt.Errorf("c=%.2f: %w", c, err)
 		}
 		fmt.Fprintf(&b, "%-8.2f %-10.2f %-10.3f\n", c, res.Cost.Total(), res.Stats.BestReward)
 	}
-	return b.String()
+	return b.String(), nil
 }
 
 // AblationRollout sweeps rollout depth and the reward sample count k.
-func AblationRollout(ctx context.Context, cfg Config) string {
+func AblationRollout(ctx context.Context, cfg Config) (string, error) {
 	var b strings.Builder
 	b.WriteString("== Ablation: rollout depth and reward samples k ==\n")
 	log := workload.SDSSLog()
@@ -357,7 +361,7 @@ func AblationRollout(ctx context.Context, cfg Config) string {
 		start := time.Now()
 		res, err := core.Generate(ctx, log, o)
 		if err != nil {
-			continue
+			return b.String(), fmt.Errorf("rollout depth %d: %w", depth, err)
 		}
 		fmt.Fprintf(&b, "%-14d %-10.2f %-12v\n", depth, res.Cost.Total(), time.Since(start).Round(time.Millisecond))
 	}
@@ -367,15 +371,15 @@ func AblationRollout(ctx context.Context, cfg Config) string {
 		o.RewardSamples = k
 		res, err := core.Generate(ctx, log, o)
 		if err != nil {
-			continue
+			return b.String(), fmt.Errorf("k=%d: %w", k, err)
 		}
 		fmt.Fprintf(&b, "%-14d %-10.2f\n", k, res.Cost.Total())
 	}
-	return b.String()
+	return b.String(), nil
 }
 
 // Scaling sweeps the synthetic log size.
-func Scaling(ctx context.Context, cfg Config) string {
+func Scaling(ctx context.Context, cfg Config) (string, error) {
 	var b strings.Builder
 	b.WriteString("== Scaling with log size (synthetic generator) ==\n")
 	fmt.Fprintf(&b, "%-10s %-10s %-10s %-10s %-12s\n", "queries", "fanout", "cost", "widgets", "elapsed")
@@ -383,56 +387,40 @@ func Scaling(ctx context.Context, cfg Config) string {
 		log := workload.Generate(workload.GenConfig{
 			Queries: n, Tables: 3, Projections: 3, TopValues: 3,
 			Predicates: 3, PredColumns: 3, LiteralVars: 2, OptWhere: true, Seed: 11})
-		init, err := difftree.Initial(log)
-		if err != nil {
-			continue
-		}
-		fan := core.Fanout(init, log, rules.All())
 		start := time.Now()
 		res, err := core.Generate(ctx, log, cfg.opts(layout.Wide))
 		if err != nil {
-			fmt.Fprintf(&b, "%-10d %-10d error: %v\n", n, fan, err)
-			continue
+			return b.String(), fmt.Errorf("%d queries: %w", n, err)
 		}
 		fmt.Fprintf(&b, "%-10d %-10d %-10.2f %-10d %-12v\n",
-			n, fan, res.Cost.Total(), res.Cost.Widgets, time.Since(start).Round(time.Millisecond))
+			n, res.Stats.InitialFan, res.Cost.Total(), res.Cost.Widgets, time.Since(start).Round(time.Millisecond))
 	}
-	return b.String()
+	return b.String(), nil
 }
 
-// All runs every experiment in index order.
-func All(ctx context.Context, cfg Config) string {
-	sections := []func(context.Context, Config) string{
-		Fig6a, Fig6b, Fig6c, Fig6d, Fig6e,
-		SearchSpace, BudgetSweep, BaselineCompare, Strategies,
-		AblationC, AblationRollout, Scaling,
-	}
+// All runs every experiment in index order, stopping at the first error.
+func All(ctx context.Context, cfg Config) (string, error) {
 	var b strings.Builder
-	for _, f := range sections {
-		b.WriteString(f(ctx, cfg))
+	for _, e := range Index {
+		report, err := e.Run(ctx, cfg)
+		b.WriteString(report)
 		b.WriteByte('\n')
+		if err != nil {
+			return b.String(), fmt.Errorf("%s: %w", e.ID, err)
+		}
 	}
-	return b.String()
+	return b.String(), nil
 }
 
-// Named returns the experiment runner for an experiment id: the index of
-// this package, and the ids cmd/experiments accepts.
-func Named(name string) (func(context.Context, Config) string, bool) {
-	m := map[string]func(context.Context, Config) string{
-		"fig6a":            Fig6a,
-		"fig6b":            Fig6b,
-		"fig6c":            Fig6c,
-		"fig6d":            Fig6d,
-		"fig6e":            Fig6e,
-		"space":            SearchSpace,
-		"budget":           BudgetSweep,
-		"baseline":         BaselineCompare,
-		"strategies":       Strategies,
-		"ablation-c":       AblationC,
-		"ablation-rollout": AblationRollout,
-		"scaling":          Scaling,
-		"all":              All,
+// Named returns the runner for an experiment id: a row of Index, or "all".
+func Named(id string) (func(context.Context, Config) (string, error), bool) {
+	if id == "all" {
+		return All, true
 	}
-	f, ok := m[name]
-	return f, ok
+	for _, e := range Index {
+		if e.ID == id {
+			return e.Run, true
+		}
+	}
+	return nil, false
 }

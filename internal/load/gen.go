@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"sort"
 	"time"
+
+	"repro/internal/workload"
 )
 
 // Generate expands a Spec into its trace: per class, an open-loop arrival
@@ -44,7 +46,7 @@ func Generate(spec Spec) ([]Event, error) {
 
 // classEvents simulates one class's arrivals and sessions to the horizon.
 func classEvents(class *ClassSpec, rng *rand.Rand, horizon time.Duration) []Event {
-	queries, err := QueryLog(class.workloadName())
+	queries, err := workload.Named(class.workloadName())
 	if err != nil {
 		return nil // Validate already rejected unknown workloads
 	}

@@ -453,21 +453,6 @@ func TestGammaSampler(t *testing.T) {
 	}
 }
 
-func TestQueryLogs(t *testing.T) {
-	for _, name := range []string{"figure1", "sdss", "sdss-join"} {
-		qs, err := QueryLog(name)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if len(qs) == 0 {
-			t.Fatalf("%s: empty log", name)
-		}
-	}
-	if _, err := QueryLog("nope"); err == nil {
-		t.Fatal("unknown workload accepted")
-	}
-}
-
 func TestBuildReportWarmupFilter(t *testing.T) {
 	spec := Spec{Name: "w", Seed: 1, WarmupMS: 1000, DurationMS: 1000,
 		Classes: []ClassSpec{{Name: "c", RatePerSec: 1, Mix: OpMix{Generate: 1}}}}

@@ -66,9 +66,9 @@ type ClassSpec struct {
 	// interact/export before the session exists degrades to append.
 	// A sampled "generate" is a one-shot stateless generation.
 	Mix OpMix `json:"mix"`
-	// Workload names the query log feeding this class: "figure1" (default),
-	// "sdss", or "sdss-join". Appends walk the log one query at a time,
-	// cycling at the end.
+	// Workload names the query log feeding this class: "figure1" (default)
+	// or another name workload.Named resolves. Appends walk the log one
+	// query at a time, cycling at the end.
 	Workload string `json:"workload,omitempty"`
 	// InitQueries is how many queries the opening request carries
 	// (default 1).
@@ -139,7 +139,7 @@ func (s *Spec) Validate() error {
 		if c.Mix.total() <= 0 {
 			return fmt.Errorf("class %q: op mix has no positive weight", c.Name)
 		}
-		if _, err := QueryLog(c.workloadName()); err != nil {
+		if _, err := workload.Named(c.workloadName()); err != nil {
 			return fmt.Errorf("class %q: %w", c.Name, err)
 		}
 	}
@@ -240,21 +240,4 @@ func SmokeSpec() Spec {
 			},
 		},
 	}
-}
-
-// QueryLog resolves a workload name to its SQL query log.
-func QueryLog(name string) ([]string, error) {
-	switch name {
-	case "figure1":
-		return []string{
-			"SELECT Sales FROM sales WHERE cty = USA",
-			"SELECT Costs FROM sales WHERE cty = EUR",
-			"SELECT Costs FROM sales",
-		}, nil
-	case "sdss":
-		return workload.SDSSLogSQL(), nil
-	case "sdss-join":
-		return workload.SDSSJoinLogSQL(), nil
-	}
-	return nil, fmt.Errorf("unknown workload %q (want figure1, sdss, or sdss-join)", name)
 }

@@ -64,13 +64,49 @@ func SDSSSubset(lo, hi int) []*ast.Node {
 	return all[lo-1 : hi]
 }
 
-// PaperFigure1Log returns the three-query log of the paper's Figure 1.
-func PaperFigure1Log() []*ast.Node {
-	return mustParseAll(
+// paperFigure1SQL returns the three queries of the paper's Figure 1.
+func paperFigure1SQL() []string {
+	return []string{
 		"SELECT Sales FROM sales WHERE cty = USA",
 		"SELECT Costs FROM sales WHERE cty = EUR",
 		"SELECT Costs FROM sales",
-	)
+	}
+}
+
+// PaperFigure1Log returns the three-query log of the paper's Figure 1.
+func PaperFigure1Log() []*ast.Node {
+	return mustParseAll(paperFigure1SQL()...)
+}
+
+// named is the one table of built-in workload names, in help-text order.
+var named = []struct {
+	name string
+	sql  func() []string
+}{
+	{"sdss", SDSSLogSQL},
+	{"sdss-subset", func() []string { return SDSSLogSQL()[5:8] }}, // Figure 6(c): queries 6-8
+	{"sdss-join", SDSSJoinLogSQL},
+	{"sdss-join-block", func() []string { return SDSSJoinLogSQL()[:6] }},
+	{"figure1", paperFigure1SQL},
+}
+
+// Names lists the workload names Named resolves.
+func Names() []string {
+	out := make([]string, len(named))
+	for i, w := range named {
+		out[i] = w.name
+	}
+	return out
+}
+
+// Named returns the SQL query log of a built-in workload.
+func Named(name string) ([]string, error) {
+	for _, w := range named {
+		if w.name == name {
+			return w.sql(), nil
+		}
+	}
+	return nil, fmt.Errorf("unknown workload %q (want one of %s)", name, strings.Join(Names(), ", "))
 }
 
 func mustParseAll(srcs ...string) []*ast.Node {

@@ -193,3 +193,34 @@ func TestGenerateEdges(t *testing.T) {
 		}
 	}
 }
+
+func TestNamed(t *testing.T) {
+	for _, name := range Names() {
+		qs, err := Named(name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(qs) == 0 {
+			t.Fatalf("%s: empty log", name)
+		}
+	}
+	if _, err := Named("nope"); err == nil {
+		t.Fatal("unknown workload accepted")
+	}
+	// The named logs parse to the AST logs the experiments use.
+	for name, want := range map[string][]*ast.Node{
+		"figure1":         PaperFigure1Log(),
+		"sdss-subset":     SDSSSubset(6, 8),
+		"sdss-join-block": SDSSJoinSubset(1, 6),
+	} {
+		qs, _ := Named(name)
+		if len(qs) != len(want) {
+			t.Fatalf("%s: %d queries, want %d", name, len(qs), len(want))
+		}
+		for i, q := range qs {
+			if !ast.Equal(sqlparser.MustParse(q), want[i]) {
+				t.Errorf("%s[%d] = %q does not parse to %q", name, i, q, sqlparser.Render(want[i]))
+			}
+		}
+	}
+}
